@@ -32,11 +32,9 @@ instead of single-ratio comparisons.
 
 Not a pytest module on purpose: perf numbers belong in a recorded
 artifact the next PR can diff, not in a pass/fail gate (the gate is
-``repro-sim perf check`` against ``BENCH_history/``, driven by CI;
-``check_regression.py`` remains as the legacy ratio shim).  The cold
-subprocess backends
-pay interpreter start-up and workload regeneration, so on a grid this
-small serial beats them — the warm pool is the configuration expected
+``repro-sim perf check`` against ``BENCH_history/``, driven by CI).
+The cold subprocess backends pay interpreter start-up and workload
+regeneration, so on a grid this small serial beats them — the warm pool is the configuration expected
 to beat serial once jobs > 1.
 """
 

@@ -1,32 +1,31 @@
 #!/usr/bin/env python
-"""Core-model throughput baseline: event-driven vs reference scan issue.
+"""Core-model throughput baseline: columnar engine vs object engine.
 
 Times the simulator's hot path (``Processor.run``) on the smoke-suite
-workloads under both issue schedulers and writes the measurements to
+workloads under both engines (``dispatch="columnar"``, the default, and
+the reference ``dispatch="object"``) and writes the measurements to
 ``BENCH_core.json`` at the repository root.  Run it from a checkout::
 
     PYTHONPATH=src python benchmarks/bench_core.py [--repeat 3]
 
 The grid covers every smoke-suite (bench, scheme) point on the Table 2
 clustered machine — the representative regime, where windows stay
-shallow and the two schedulers should be near parity — plus the
-*issue-bound* points on the ``deep-window-512`` machine (512-entry
-windows, 1024-deep ROB), where the reference scan's O(window x
-operands) per-cycle cost dominates and the event-driven scheduler is
-expected to hold its >=1.5x advantage.
+shallow — plus the *issue-bound* points on the ``deep-window-512``
+machine (512-entry windows, 1024-deep ROB), where the object engine's
+O(window x operands) per-cycle issue scan dominates.
 
-Each point records instructions/sec for both schedulers (best over
+Each point records instructions/sec for both engines (best over
 ``--repeat`` timed runs, with mean/std for noise visibility) and the
-``speedup_vs_scan`` ratio.  The ratio is the machine-portable signal
-the CI perf gate leans on; the absolute numbers chart the trajectory on
+``speedup_vs_scan`` ratio; the rows keep the names ``"event"`` (the
+columnar engine) and ``"scan"`` (the object engine) so the ledger's
+labels stay stable.  The ratio is the machine-portable signal the CI
+perf gate leans on; the absolute numbers chart the trajectory on
 comparable hardware.
 
-A second family of points times the **dispatch** rework the same way:
-the fused columnar dispatch loop (``dispatch="columnar"``, the default)
-against the retained per-object reference (``dispatch="object"``), both
-under the event scheduler, with ``speedup_vs_object`` as the portable
-ratio.  These points carry ``"columnar"``/``"object"`` rows instead of
-``"event"``/``"scan"`` and are tagged ``"kind": "dispatch"``.
+A second family of points times the same two engines on a longer
+window with interleaved repeats, with ``speedup_vs_object`` as the
+portable ratio.  These points carry ``"columnar"``/``"object"`` rows
+and are tagged ``"kind": "dispatch"``.
 
 Each point keeps the raw per-repeat ``seconds`` vectors alongside the
 summary stats, so the perf ledger (``repro-sim perf record`` reads this
@@ -35,8 +34,7 @@ of single-ratio comparisons.
 
 Not a pytest module on purpose: perf numbers belong in a recorded
 artifact the next PR can diff, not in a pass/fail gate (the gate is
-``repro-sim perf check`` against ``BENCH_history/``, driven by CI;
-``check_regression.py`` remains as the legacy ratio shim).
+``repro-sim perf check`` against ``BENCH_history/``, driven by CI).
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ def build_dispatch_grid():
     return grid
 
 
-def time_point(bench, scheme, machine, scheduler, repeat, dispatch=None,
+def time_point(bench, scheme, machine, dispatch, repeat,
                n_instructions=N_INSTRUCTIONS):
     """Best/mean/std wall-clock seconds over *repeat* timed runs."""
     wl = workload(bench, seed=0)  # cached: charges generation once
@@ -116,9 +114,7 @@ def time_point(bench, scheme, machine, scheduler, repeat, dispatch=None,
         steering = make_steering(scheme)
         if getattr(steering, "requires_fifo_issue", False):
             config = config.with_fifo_issue()
-        processor = Processor(
-            wl, config, steering, scheduler=scheduler, dispatch=dispatch
-        )
+        processor = Processor(wl, config, steering, dispatch=dispatch)
         start = time.perf_counter()
         processor.run(n_instructions, warmup=WARMUP)
         times.append(time.perf_counter() - start)
@@ -144,7 +140,7 @@ def _summary_rows(times, n_instructions, repeat):
 def time_dispatch_point(bench, scheme, machine, repeat, n_instructions):
     """Interleaved columnar/object timing for one dispatch point.
 
-    The repeats alternate between the two dispatch modes so slow host
+    The repeats alternate between the two engines so slow host
     drift (thermal, co-tenant load) cancels out of the ratio instead of
     biasing whichever block ran second; one untimed run first
     materialises the trace window, so no timed repeat pays the workload
@@ -159,9 +155,7 @@ def time_dispatch_point(bench, scheme, machine, repeat, n_instructions):
         steering = make_steering(scheme)
         if getattr(steering, "requires_fifo_issue", False):
             config = config.with_fifo_issue()
-        processor = Processor(
-            wl, config, steering, scheduler="event", dispatch=dispatch
-        )
+        processor = Processor(wl, config, steering, dispatch=dispatch)
         start = time.perf_counter()
         processor.run(n_instructions, warmup=WARMUP)
         if timed:
@@ -189,25 +183,25 @@ def main(argv=None) -> int:
 
     points = []
     for bench, scheme, machine, issue_bound in build_grid():
-        event = time_point(bench, scheme, machine, "event", args.repeat)
-        scan = time_point(bench, scheme, machine, "scan", args.repeat)
-        speedup = event["instr_per_sec"] / scan["instr_per_sec"]
+        columnar = time_point(bench, scheme, machine, "columnar", args.repeat)
+        obj = time_point(bench, scheme, machine, "object", args.repeat)
+        speedup = columnar["instr_per_sec"] / obj["instr_per_sec"]
         points.append(
             {
                 "bench": bench,
                 "scheme": scheme,
                 "machine": machine,
                 "issue_bound": issue_bound,
-                "event": event,
-                "scan": scan,
+                "event": columnar,
+                "scan": obj,
                 "speedup_vs_scan": round(speedup, 3),
             }
         )
         tag = "issue-bound" if issue_bound else "baseline   "
         print(
             f"{tag} {bench:>14s} {scheme:<16s} {machine:<15s} "
-            f"event={event['instr_per_sec']:>8.0f} i/s  "
-            f"scan={scan['instr_per_sec']:>8.0f} i/s  "
+            f"columnar={columnar['instr_per_sec']:>8.0f} i/s  "
+            f"object={obj['instr_per_sec']:>8.0f} i/s  "
             f"speedup={speedup:4.2f}x"
         )
 

@@ -82,8 +82,6 @@ class FetchUnit:
 
         Returns the fetched group (possibly empty while stalled).
         """
-        if self._columns is not None:
-            return self._fetch_columnar(cycle, budget)
         if self._stalling_branch is not None:
             branch = self._stalling_branch
             if branch.complete_cycle < 0 or cycle <= (

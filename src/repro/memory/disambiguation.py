@@ -81,8 +81,8 @@ class DisambiguationQueue:
 
         The processor calls this when the load's effective-address
         computation issues; at *ready_cycle* the wheel promotes the load
-        into the waiting list, in program order.  (No-op for the scan
-        scheduler, which polls ``ea_done_cycle`` instead.)
+        into the waiting list, in program order.  (No-op in scan mode,
+        which polls ``ea_done_cycle`` instead.)
         """
         if self.event_driven:
             bucket = self._ea_wheel.get(ready_cycle)

@@ -18,8 +18,6 @@ artifact instead of a single checked-in snapshot:
 * :mod:`repro.perf.views` — ``perf diff`` / ``perf check`` renderings.
 * :mod:`repro.perf.cli` — the ``repro-sim perf record|check|diff|log|
   prune`` surface; ``perf check`` is the CI entry point.
-* :mod:`repro.perf.legacy` — the retained v0 ratio gate behind the
-  ``benchmarks/check_regression.py`` shim.
 """
 
 from .detect import (

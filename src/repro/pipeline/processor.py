@@ -11,18 +11,27 @@ Stage evaluation order within :meth:`step` is reverse pipeline order
 cycle-driven simulator model same-cycle hand-offs without double-advancing
 an instruction in one cycle.
 
-Two issue schedulers implement identical timing semantics:
+One switch, ``dispatch=`` or the ``REPRO_DISPATCH`` environment variable,
+picks one of two engines with cycle-for-cycle identical timing:
 
-* ``event`` (default) — event-driven wakeup/select.  Window entries
-  carry pending-operand counters, producers carry consumer lists, and a
-  completion calendar (:mod:`repro.pipeline.wakeup`) wakes consumers on
-  the cycle their last operand completes; the issue stage walks only the
-  per-queue ready sets.  Work per cycle is proportional to completions
-  and ready instructions, not window size x operands.
-* ``scan`` — the reference implementation: re-scan every window entry
-  and re-poll every provider's ``complete_cycle`` each cycle.  Retained
-  so the equivalence suite can assert the event path is cycle-for-cycle
-  identical, and selectable via ``REPRO_SCHEDULER=scan`` for A/B runs.
+========  ======================  =================
+stage     ``columnar`` engine     ``object`` engine
+========  ======================  =================
+fetch     trace columns           trace records
+dispatch  ``_dispatch_columnar``  ``_dispatch``
+issue     ``_issue_event``        ``_issue_scan``
+commit    ``_commit_columnar``    ``_commit``
+========  ======================  =================
+
+``columnar`` (the default) runs every machine, FIFO windows included:
+fused dispatch over the map table's flat presence masks (each
+instruction on a FIFO machine goes to the unfused helper, since FIFO
+placement needs ``plan_insertions``) and event-driven wakeup/select
+(pending-operand counters, consumer lists and the completion calendar
+of :mod:`repro.pipeline.wakeup`; issue walks only the per-queue ready
+lists).  ``object`` is the frozen reference: per-instruction
+plan/feasible/reserve/rename dispatch and a re-scan of every window
+entry and provider each cycle, kept as the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -32,12 +41,8 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from ..cluster import BypassNetwork, FifoIssueQueue, FUPool, IssueQueue
-from ..core.steering import (
-    SteeringContext,
-    SteeringScheme,
-    resolve_steering_hooks,
-)
-from ..errors import SimulationError, SteeringError
+from ..core.steering import SteeringContext, SteeringScheme
+from ..errors import ConfigError, SimulationError, SteeringError
 from ..frontend import CombinedPredictor, FetchUnit
 from ..isa import DynInst, InstrClass, make_copy_inst
 from ..isa.registers import FP_BASE, N_FP_REGS, N_INT_REGS
@@ -57,15 +62,7 @@ from .wakeup import WakeupCalendar
 #: Cycles without a commit after which the model declares itself wedged.
 _DEADLOCK_LIMIT = 20000
 
-#: Issue-scheduler implementations (see module docstring).
-SCHEDULERS = ("event", "scan")
-
-#: Dispatch-stage implementations.  ``columnar`` (default) runs the fused
-#: batch loop over the map table's flat presence masks; ``object`` is the
-#: reference per-instruction plan/feasible/reserve/rename sequence,
-#: retained as the equivalence oracle and selectable via
-#: ``REPRO_DISPATCH=object``.  FIFO-window machines always take the
-#: object path (the fused loop inlines :class:`IssueQueue` internals).
+#: The engines (see module docstring); ``columnar`` is the default.
 DISPATCH_MODES = ("columnar", "object")
 
 #: Outcomes of the unfused single-instruction dispatch helper.
@@ -84,31 +81,22 @@ class Processor:
         workload: Workload,
         config: ProcessorConfig,
         steering,
-        scheduler: Optional[str] = None,
         dispatch: Optional[str] = None,
     ) -> None:
         self.workload = workload
         self.config = config
         self.steering = steering
         self.program = workload.program
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER") or "event"
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
-        self._event_driven = scheduler == "event"
-        self._calendar = WakeupCalendar(self._on_ready)
         if dispatch is None:
             dispatch = os.environ.get("REPRO_DISPATCH") or "columnar"
         if dispatch not in DISPATCH_MODES:
-            raise SimulationError(
-                f"unknown dispatch mode {dispatch!r}; choose from "
-                f"{DISPATCH_MODES}"
+            raise ConfigError(
+                f"unknown engine {dispatch!r} (dispatch= or REPRO_DISPATCH); "
+                f"choose from {DISPATCH_MODES}"
             )
         self.dispatch_mode = dispatch
         self._columnar = dispatch == "columnar"
+        self._calendar = WakeupCalendar(self._on_ready)
 
         timing = MemoryTiming(
             l1_hit=1,
@@ -188,7 +176,7 @@ class Processor:
             self.hierarchy,
             max_outstanding_misses=config.max_outstanding_misses,
             on_complete=self._complete,
-            event_driven=self._event_driven,
+            event_driven=self._columnar,
         )
         self.rob = ReorderBuffer(config.max_in_flight)
         self.decode_buffer: Deque[DynInst] = deque()
@@ -196,14 +184,10 @@ class Processor:
         self.cycle = 0
         self.ready_counts: List[int] = [0, 0]
         self._last_commit_cycle = 0
-        self._issue_stage = (
-            self._issue_event if self._event_driven else self._issue_scan
-        )
         steering.reset(self)
         self._steer_ctx = SteeringContext(self)
-        self._choose_fn, self._on_dispatch_fn = resolve_steering_hooks(
-            steering
-        )
+        self._choose_fn = steering.choose_cluster
+        self._on_dispatch_fn = steering.on_dispatch
         # Schemes that keep the base no-op hooks are skipped entirely
         # (the commit/cycle loops would otherwise pay a bound-method call
         # per instruction/cycle for nothing).
@@ -218,16 +202,14 @@ class Processor:
             if scheme_cls.on_cycle is not SteeringScheme.on_cycle
             else None
         )
-        self._dispatch_stage = (
-            self._dispatch_columnar
-            if self._columnar and not config.fifo_issue
-            else self._dispatch
-        )
-        self._commit_stage = (
-            self._commit_columnar if self._columnar else self._commit
-        )
-        if self._columnar and self._event_driven and not config.fifo_issue:
-            self._issue_stage = self._issue_event_columnar
+        if self._columnar:
+            self._dispatch_stage = self._dispatch_columnar
+            self._issue_stage = self._issue_event
+            self._commit_stage = self._commit_columnar
+        else:
+            self._dispatch_stage = self._dispatch
+            self._issue_stage = self._issue_scan
+            self._commit_stage = self._commit
         # Every steerable instruction class reduces to "has a simple ALU"
         # in FUPool.supports; when both clusters have one, the per-
         # instruction capability check in the fused loop is a no-op.
@@ -384,7 +366,7 @@ class Processor:
             self._last_commit_cycle = cycle
 
     # ------------------------------------------------------------------
-    # Issue: event-driven wakeup/select (default)
+    # Issue: event-driven wakeup/select (columnar engine)
     # ------------------------------------------------------------------
     def _on_ready(self, dyn: DynInst) -> None:
         """Wakeup-calendar callback: *dyn*'s last pending operand done."""
@@ -395,93 +377,27 @@ class Processor:
 
         Only potential providers (register writers and copies) go through
         the calendar; branches and stores can never acquire waiters, so
-        their completion is a plain assignment.  The scan scheduler polls
+        their completion is a plain assignment.  The object engine polls
         instead of waking and bypasses the calendar entirely.
         """
-        if self._event_driven and (dyn.is_copy or dyn.inst.dst is not None):
+        if self._columnar and (dyn.is_copy or dyn.inst.dst is not None):
             self._calendar.complete(dyn, complete_cycle, cycle)
         else:
             dyn.complete_cycle = complete_cycle
 
     def _issue_event(self, cycle: int) -> None:
-        """Issue from the per-queue ready sets (no window scan).
+        """Issue from the per-queue ready lists (no window scan).
 
         The calendar fires first, so every instruction whose last operand
-        completes at *cycle* is in its queue's ready set before
-        selection; candidates are snapshotted per cluster in age order,
-        exactly the readiness the reference scan would observe.
-        """
-        self._calendar.fire(cycle)
-        ready_counts = [0, 0]
-        bypass = self.bypass
-        stats = self.stats
-        for cluster in (0, 1):
-            iq = self.iqs[cluster]
-            # The live ready list, oldest first.  Within this cluster's
-            # turn it only shrinks (via issue_ready): same-cluster heads
-            # exposed by an issue are deferred to the next cycle, and
-            # same-cycle wakeups (zero-latency bypasses) always target
-            # the *other* cluster — so an index walk is safe and touches
-            # only the entries the select logic actually considers.
-            ready = iq.ready_view()
-            n_ready = len(ready)
-            ready_counts[cluster] = n_ready
-            if not n_ready:
-                continue
-            width = self.config.clusters[cluster].issue_width
-            fu = self.fus[cluster]
-            issued = 0
-            index = 0
-            while index < len(ready) and issued < width:
-                dyn = ready[index][1]
-                if dyn.is_copy:
-                    if not bypass.claim(cycle, cluster):
-                        index += 1
-                        continue
-                    dyn.issue_cycle = cycle
-                    dyn.issued = True
-                    # A zero-latency bypass completes *this* cycle: the
-                    # calendar then wakes the remote consumer at once,
-                    # in time for the other cluster's selection below —
-                    # the same visibility the in-order scan provides.
-                    self._complete(dyn, cycle + bypass.latency, cycle)
-                    stats.copies_issued += 1
-                    iq.issue_ready(index)
-                    issued += 1
-                    continue
-                if not fu.can_issue(dyn, cycle):
-                    index += 1
-                    continue
-                fu.issue(dyn, cycle)
-                dyn.issue_cycle = cycle
-                dyn.issued = True
-                cls = dyn.cls
-                if cls is InstrClass.LOAD:
-                    # complete_cycle is set by the disambiguation queue,
-                    # which parks the load until its address is ready.
-                    dyn.ea_done_cycle = cycle + 1
-                    self.lsq.queue_address(dyn, cycle + 1)
-                elif cls is InstrClass.STORE:
-                    dyn.ea_done_cycle = cycle + 1
-                    self._complete(dyn, cycle + 1, cycle)
-                else:
-                    self._complete(dyn, cycle + dyn.inst.latency, cycle)
-                self._mark_critical_copies(dyn, cycle)
-                iq.issue_ready(index)
-                issued += 1
-        self.ready_counts = ready_counts
-
-    def _issue_event_columnar(self, cycle: int) -> None:
-        """:meth:`_issue_event` with the common-case call tree flattened.
-
-        Identical selection semantics; the simple-ALU accounting, ready-
-        list removal and completion routing are inlined for the classes
-        that dominate the mix (simple int, branch, load, store, copy).
-        Complex-integer and FP instructions sync the local ALU mirror and
-        take the reference :class:`~repro.cluster.FUPool` calls.  Only
-        installed on :class:`~repro.cluster.IssueQueue` windows — FIFO
-        collections keep the reference stage (their removal path defers
-        exposed heads).
+        completes at *cycle* is in its queue's ready list before
+        selection; candidates are walked per cluster in age order,
+        exactly the readiness the reference scan would observe.  The
+        simple-ALU accounting and completion routing are inlined for the
+        classes that dominate the mix (simple int, branch, load, store,
+        copy); complex-integer and FP instructions sync the local ALU
+        mirror and take the reference :class:`~repro.cluster.FUPool`
+        calls.  Both window kinds remove through ``issue_ready``, which
+        lets a FIFO collection defer the head an issue exposes.
         """
         calendar = self._calendar
         calendar.fire(cycle)
@@ -496,7 +412,13 @@ class Processor:
         store = InstrClass.STORE
         for cluster in (0, 1):
             iq = self.iqs[cluster]
-            ready = iq._ready
+            # The live ready list, oldest first.  Within this cluster's
+            # turn it only shrinks (via issue_ready): same-cluster heads
+            # exposed by an issue are deferred to the next cycle, and
+            # same-cycle wakeups (zero-latency bypasses) always target
+            # the *other* cluster — so an index walk is safe and touches
+            # only the entries the select logic actually considers.
+            ready = iq.ready_view()
             n_ready = len(ready)
             ready_counts[cluster] = n_ready
             if not n_ready:
@@ -511,7 +433,7 @@ class Processor:
                 fu._fp_complex_used = 0
             simple_used = fu._simple_used
             n_simple = fu.n_simple
-            entries = iq._entries
+            issue_ready = iq.issue_ready
             issued = 0
             index = 0
             while index < len(ready) and issued < width:
@@ -522,10 +444,13 @@ class Processor:
                         continue
                     dyn.issue_cycle = cycle
                     dyn.issued = True
+                    # A zero-latency bypass completes *this* cycle: the
+                    # calendar then wakes the remote consumer at once,
+                    # in time for the other cluster's selection below —
+                    # the same visibility the in-order scan provides.
                     calendar.complete(dyn, cycle + bypass.latency, cycle)
                     stats.copies_issued += 1
-                    del ready[index]
-                    del entries[dyn.seq]
+                    issue_ready(index)
                     issued += 1
                     continue
                 cls = dyn.cls
@@ -568,14 +493,13 @@ class Processor:
                         dyn.complete_cycle = cc
                 if dyn.copy_srcs:
                     self._mark_critical_copies(dyn, cycle)
-                del ready[index]
-                del entries[dyn.seq]
+                issue_ready(index)
                 issued += 1
             fu._simple_used = simple_used
         self.ready_counts = ready_counts
 
     # ------------------------------------------------------------------
-    # Issue: reference full-scan scheduler (kept for exactness testing)
+    # Issue: reference full scan (object engine)
     # ------------------------------------------------------------------
     def _issue_scan(self, cycle: int) -> None:
         ready_counts = [0, 0]
@@ -708,8 +632,10 @@ class Processor:
         :class:`~repro.rename.renamer.RenamePlan` and crossing no helper
         boundaries.  Instructions that do need copies, or that hit a
         register-file hazard, fall back to the unfused helper, which is
-        verbatim the reference (object) path, so both modes are
-        cycle-for-cycle identical.
+        verbatim the reference (object) path, so both engines are
+        cycle-for-cycle identical.  On a FIFO-window machine every
+        instruction takes the helper: FIFO placement needs its
+        ``plan_insertions`` dry run.
         """
         buffer = self.decode_buffer
         if not buffer:
@@ -729,7 +655,7 @@ class Processor:
         lsq = self.lsq
         choose = self._choose_fn
         on_dispatch = self._on_dispatch_fn
-        event_driven = self._event_driven
+        fifo_issue = self.config.fifo_issue
         skip_supports = self._skip_supports
         supports = (self.fus[0].supports, self.fus[1].supports)
         allow_copies = self.config.allow_copies
@@ -791,7 +717,10 @@ class Processor:
             ) else cluster
             executes = cls is not jump and cls is not nop
             slow = False
-            if missing is not None:
+            if fifo_issue:
+                # FIFO placement needs the helper's plan_insertions.
+                slow = True
+            elif missing is not None:
                 # Fused copy insertion.  Only the clear-cut case stays
                 # inline — integer sources with a remote provider and
                 # enough registers in the chosen cluster; anything
@@ -850,20 +779,16 @@ class Processor:
                         map_table._replicated_ints += 1
                         renamer.copies_created += 1
                         # Inline window insert for the copy.
-                        if event_driven:
-                            cc = provider.complete_cycle
-                            if cc < 0 or cc > cycle:
-                                if provider.waiters is None:
-                                    provider.waiters = [copy]
-                                else:
-                                    provider.waiters.append(copy)
-                                copy.pending_ops = 1
-                                pending = 1
+                        cc = provider.complete_cycle
+                        if cc < 0 or cc > cycle:
+                            if provider.waiters is None:
+                                provider.waiters = [copy]
                             else:
-                                pending = 0
-                        else:
+                                provider.waiters.append(copy)
                             copy.pending_ops = 1
                             pending = 1
+                        else:
+                            pending = 0
                         rank = iq_other._next_rank
                         iq_other._next_rank = rank + 1
                         copy.iq_rank = rank
@@ -921,20 +846,16 @@ class Processor:
             dyn.dispatch_cycle = cycle
             if executes:
                 # Inline window insert (capacity reserved above).
-                if event_driven:
-                    pending = 0
-                    for p in providers:
-                        cc = p.complete_cycle
-                        if cc < 0 or cc > cycle:
-                            if p.waiters is None:
-                                p.waiters = [dyn]
-                            else:
-                                p.waiters.append(dyn)
-                            pending += 1
-                    dyn.pending_ops = pending
-                else:
-                    pending = 1
-                    dyn.pending_ops = 1
+                pending = 0
+                for p in providers:
+                    cc = p.complete_cycle
+                    if cc < 0 or cc > cycle:
+                        if p.waiters is None:
+                            p.waiters = [dyn]
+                        else:
+                            p.waiters.append(dyn)
+                        pending += 1
+                dyn.pending_ops = pending
                 rank = iq._next_rank
                 iq._next_rank = rank + 1
                 dyn.iq_rank = rank
@@ -958,8 +879,9 @@ class Processor:
     def _dispatch_one_slow(self, dyn: DynInst, cluster: int, cycle: int):
         """Reference dispatch of one steered instruction.
 
-        The full plan/feasible/reserve/rename sequence; both dispatch
-        modes funnel here for instructions needing copies or replanning.
+        The full plan/feasible/reserve/rename sequence; both engines
+        funnel here for instructions needing copies or replanning, and
+        for every instruction on a FIFO-window machine.
         Returns ``_OK``, ``_STALL_REGS`` or ``_STALL_IQ``; on a stall the
         caller accounts the stall and ends the dispatch group.
         """
@@ -1055,10 +977,10 @@ class Processor:
         appended to its consumer list and bumps the pending-operand
         counter; a provider completing at or before *cycle* is already
         visible to next cycle's select, exactly as the reference scan
-        would observe it.  Under the scan scheduler the counter is pinned
-        non-zero so the (unused) ready sets stay empty.
+        would observe it.  Under the object engine the counter is pinned
+        non-zero so the (unused) ready lists stay empty.
         """
-        if self._event_driven:
+        if self._columnar:
             pending = 0
             for p in dyn.providers:
                 cc = p.complete_cycle

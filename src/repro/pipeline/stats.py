@@ -60,8 +60,8 @@ class SimStats:
 
         ``ready_counts`` is the per-cluster number of issue candidates
         whose operands were all complete this cycle — maintained by the
-        event-driven scheduler's ready sets (or counted by the reference
-        scan), never recomputed here.
+        columnar engine's ready lists (or counted by the object engine's
+        window scan), never recomputed here.
         """
         self.cycles += 1
         self.replication_sum += replicated_regs

@@ -3,8 +3,8 @@
 The naive issue stage re-scans every window entry and re-polls every
 provider's ``complete_cycle`` each cycle — O(window x operands) per
 cycle, the software analogue of the broadcast wakeup the paper's
-clustered hardware is designed to avoid.  The event-driven scheduler
-inverts the dependence: each window entry carries a pending-operand
+clustered hardware is designed to avoid.  Event-driven issue (the
+columnar engine) inverts the dependence: each window entry carries a pending-operand
 counter (:attr:`~repro.isa.DynInst.pending_ops`), each in-flight
 producer a consumer list (:attr:`~repro.isa.DynInst.waiters`), and this
 calendar maps completion cycles to the producers completing then.  When

@@ -22,8 +22,9 @@ The numpy kernel (bulk line-id computation for the I-cache line checks)
 is optional: it engages only when numpy is importable, only for the
 initial bulk build, and produces exactly the integers the pure-Python
 fallback does.  Nothing in this module is reachable unless the columnar
-pipeline is selected (``REPRO_DISPATCH=columnar``, the default) or
-columns are requested explicitly.
+engine runs (the default; ``REPRO_DISPATCH=object`` selects the
+reference engine, which reads trace records instead) or columns are
+requested explicitly.
 """
 
 from __future__ import annotations

@@ -393,27 +393,6 @@ class TestLegacyConversion:
             pytest.approx(8000 / 0.15),
         )
 
-    def test_legacy_ratio_gate_handles_dispatch_points(self):
-        from repro.perf.legacy import core_metrics
-
-        fresh = self.dispatch_doc()
-        # Baseline predates the dispatch rework: scheduler point only.
-        baseline = self.core_doc()
-        rows = list(core_metrics(baseline, fresh, gate_absolute=False))
-        labels = [row[0] for row in rows]
-        assert "gcc/modulo/clustered speedup_vs_scan" in labels
-        new = [row for row in rows if "[new in fresh run]" in row[0]]
-        assert len(new) == 1
-        assert "dispatch speedup_vs_object" in new[0][0]
-        assert new[0][3] is False  # new labels are never gated
-        # Once both documents carry the point, the ratio gates.
-        rows = list(core_metrics(fresh, fresh, gate_absolute=False))
-        gated = {
-            row[0]: row[3] for row in rows
-        }
-        assert gated["gcc/modulo/clustered dispatch speedup_vs_object"]
-        assert not gated["gcc/modulo/clustered columnar instr/s"]
-
     def test_campaign_conversion_builds_compound_groups(self):
         document = {
             "benchmark": "campaign-backends",

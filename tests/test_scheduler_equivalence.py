@@ -1,22 +1,18 @@
-"""Cycle-exactness of the optimised pipelines vs the reference scan.
+"""Cycle-exactness of the columnar engine against the object engine.
 
-Two performance reworks are pinned bit-exact here: the event-driven
-issue scheduler (``scheduler="event"`` vs the ``"scan"`` reference) and
-the fused columnar dispatch stage (``dispatch="columnar"`` vs the
-``"object"`` reference) — each compared against the retained unfused
-implementations across schemes, machines and ablation families.
-
-
-The event-driven wakeup/select path (pending-operand counters, ready
-sets, completion calendar — ``scheduler="event"``, the default) is a
+``Processor`` runs one of two engines, chosen by ``dispatch=`` or
+``REPRO_DISPATCH``: the columnar engine (the default — columnar fetch,
+fused dispatch over the flat presence masks, event-driven wakeup/select,
+flattened commit) and the frozen object engine (record fetch, the
+per-instruction plan/feasible/reserve/rename dispatch, a full window
+re-scan every cycle, the reference commit).  The columnar engine is a
 pure performance rework: it must produce *bit-identical* results to the
-retained full-scan reference (``scheduler="scan"``), cycle for cycle,
-on every scheme and machine.  These tests pin that equivalence on the
-smoke-suite workloads across the full scheme registry, every Table 2
-machine, the FIFO window organisation, and the ablation families —
-including the zero-latency bypass edge case, where a copy completes in
-the very cycle it issues and its remote consumer must become selectable
-within the same cycle.
+object engine, cycle for cycle, on every scheme and machine.  These
+tests pin that on the smoke-suite workloads across the full scheme
+registry, every Table 2 machine, FIFO windows on every ablation machine,
+and the ablation families — including the zero-latency bypass edge case,
+where a copy completes in the very cycle it issues and its remote
+consumer must become selectable within the same cycle.
 
 ``SimResult`` equality covers every statistic the model reports: IPC
 and cycle counts, copies created/issued/critical, the ready-count
@@ -28,61 +24,47 @@ even one that leaves IPC unchanged, fails here.
 import pytest
 
 from repro.core.steering import available_schemes, make_steering
-from repro.pipeline.processor import SCHEDULERS, Processor
+from repro.errors import ConfigError
+from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import DISPATCH_MODES, Processor
 from repro.spec import machine_config
 from repro.workloads import workload
 
 #: Smoke-suite measurement window (kept small: this file runs the full
-#: scheme x machine grid twice).
+#: scheme x machine grid on both engines).
 N_INSTRUCTIONS = 800
 WARMUP = 200
 
+BENCHES = ["gcc", "pchase-heavy"]
 
-def run_with(scheduler, bench, scheme_name, machine_name, dispatch=None):
+
+def run_with(engine, bench, scheme_name, machine_name, fifo=False):
     wl = workload(bench, seed=0)
     config = machine_config(machine_name)
     scheme = make_steering(scheme_name)
-    if getattr(scheme, "requires_fifo_issue", False) and not config.fifo_issue:
+    if (fifo or scheme.requires_fifo_issue) and not config.fifo_issue:
         config = config.with_fifo_issue()
-    processor = Processor(
-        wl, config, scheme, scheduler=scheduler, dispatch=dispatch
-    )
+    processor = Processor(wl, config, scheme, dispatch=engine)
     return processor.run(N_INSTRUCTIONS, warmup=WARMUP)
 
 
-def assert_equivalent(bench, scheme_name, machine_name):
-    event = run_with("event", bench, scheme_name, machine_name)
-    scan = run_with("scan", bench, scheme_name, machine_name)
-    assert event == scan, (
-        f"event scheduler diverged from reference scan for "
-        f"({bench}, {scheme_name}, {machine_name}): "
-        f"ipc {event.ipc} vs {scan.ipc}, cycles {event.cycles} vs "
-        f"{scan.cycles}"
-    )
-
-
-def assert_dispatch_equivalent(bench, scheme_name, machine_name):
-    """Columnar dispatch must match the object path *and* the scan oracle."""
-    columnar = run_with(
-        "event", bench, scheme_name, machine_name, dispatch="columnar"
-    )
-    obj = run_with(
-        "event", bench, scheme_name, machine_name, dispatch="object"
-    )
-    oracle = run_with(
-        "scan", bench, scheme_name, machine_name, dispatch="object"
-    )
+def assert_equivalent(bench, scheme_name, machine_name, fifo=False):
+    columnar = run_with("columnar", bench, scheme_name, machine_name, fifo)
+    obj = run_with("object", bench, scheme_name, machine_name, fifo)
     assert columnar == obj, (
-        f"columnar dispatch diverged from the object path for "
-        f"({bench}, {scheme_name}, {machine_name}): "
+        f"columnar engine diverged from the object engine for "
+        f"({bench}, {scheme_name}, {machine_name}, fifo={fifo}): "
         f"ipc {columnar.ipc} vs {obj.ipc}, cycles {columnar.cycles} vs "
         f"{obj.cycles}"
     )
-    assert columnar == oracle, (
-        f"columnar dispatch diverged from the scan oracle for "
-        f"({bench}, {scheme_name}, {machine_name}): "
-        f"ipc {columnar.ipc} vs {oracle.ipc}, cycles {columnar.cycles} "
-        f"vs {oracle.cycles}"
+
+
+def _processor(config=None, scheme="naive", **kwargs):
+    return Processor(
+        workload("gcc", seed=0),
+        config or ProcessorConfig.default(),
+        make_steering(scheme),
+        **kwargs,
     )
 
 
@@ -90,9 +72,17 @@ class TestEverySchemeOnClustered:
     """All registered schemes on the Table 2 clustered machine."""
 
     @pytest.mark.parametrize("scheme_name", available_schemes())
-    @pytest.mark.parametrize("bench", ["gcc", "pchase-heavy"])
+    @pytest.mark.parametrize("bench", BENCHES)
     def test_scheme_equivalent(self, bench, scheme_name):
         assert_equivalent(bench, scheme_name, "clustered")
+
+
+class TestEverySchemeOnFifoWindows:
+    """All registered schemes on the §3.9 FIFO-window machine."""
+
+    @pytest.mark.parametrize("scheme_name", available_schemes())
+    def test_scheme_equivalent(self, scheme_name):
+        assert_equivalent("gcc", scheme_name, "clustered-fifo")
 
 
 class TestEveryMachine:
@@ -107,12 +97,14 @@ class TestEveryMachine:
             ("general-balance", "clustered"),
         ],
     )
-    def test_machine_equivalent(self, scheme_name, machine_name):
-        assert_equivalent("gcc", scheme_name, machine_name)
+    @pytest.mark.parametrize("bench", BENCHES)
+    def test_machine_equivalent(self, bench, scheme_name, machine_name):
+        assert_equivalent(bench, scheme_name, machine_name)
 
 
 class TestAblationFamilies:
-    """Parametric families, including the wakeup-sensitive corners."""
+    """Parametric families, including the wakeup-sensitive corners, with
+    out-of-order windows and with FIFO windows."""
 
     @pytest.mark.parametrize(
         "machine_name",
@@ -122,143 +114,90 @@ class TestAblationFamilies:
             "bypass-latency-0",
             "bypass-latency-3",
             # One bypass port: copies stay ready-but-unissuable across
-            # cycles, exercising ready-set retention.
+            # cycles, exercising ready-list retention.
             "bypass-ports-1",
-            # Tiny windows: dispatch stalls on full queues.
+            # Tiny windows: dispatch stalls on full queues, for
+            # consumers *and* their copies.
             "iq-8",
-            # Deep windows: the issue-bound regime the event scheduler
+            "iq-2",
+            # Deep windows: the issue-bound regime event-driven issue
             # is built for.
             "deep-window-256",
         ],
     )
-    @pytest.mark.parametrize("bench", ["gcc", "pchase-heavy"])
-    def test_family_equivalent(self, bench, machine_name):
-        assert_equivalent(bench, "general-balance", machine_name)
-
-
-class TestColumnarDispatchEverySchemeOnClustered:
-    """Columnar dispatch pinned bit-exact for every scheme (Table 2)."""
-
-    @pytest.mark.parametrize("scheme_name", available_schemes())
-    def test_scheme_dispatch_equivalent(self, scheme_name):
-        assert_dispatch_equivalent("gcc", scheme_name, "clustered")
-
-
-class TestColumnarDispatchEveryMachine:
-    """Columnar dispatch across machine shapes, incl. FIFO fallback."""
-
     @pytest.mark.parametrize(
-        "scheme_name,machine_name",
-        [
-            ("naive", "baseline"),
-            ("naive", "upper-bound"),
-            # FIFO windows route through the object dispatch loop even
-            # in columnar mode; this pins that the routing is sound.
-            ("fifo", "clustered-fifo"),
-            ("general-balance", "clustered"),
-        ],
+        "scheme_name,fifo",
+        [("general-balance", False), ("general-balance", True),
+         ("fifo", True)],
     )
-    def test_machine_dispatch_equivalent(self, scheme_name, machine_name):
-        assert_dispatch_equivalent("gcc", scheme_name, machine_name)
+    @pytest.mark.parametrize("bench", BENCHES)
+    def test_family_equivalent(self, bench, scheme_name, fifo, machine_name):
+        assert_equivalent(bench, scheme_name, machine_name, fifo=fifo)
 
 
-class TestColumnarDispatchAblations:
-    """Ablation corners for the fused dispatch loop.
-
-    ``bypass-latency-0`` exercises same-cycle copy wakeup through the
-    inline window insert; ``iq-2`` exercises the fused loop's stall
-    paths (window reservation for consumers *and* their copies);
-    ``deep-window-256`` exercises the issue-bound regime where the
-    fused insert feeds long ready lists.
-    """
-
-    @pytest.mark.parametrize(
-        "machine_name",
-        ["bypass-latency-0", "iq-2", "deep-window-256"],
-    )
-    @pytest.mark.parametrize("bench", ["gcc", "pchase-heavy"])
-    def test_ablation_dispatch_equivalent(self, bench, machine_name):
-        assert_dispatch_equivalent(bench, "general-balance", machine_name)
-
-
-class TestDispatchSelection:
+class TestEngineSelection:
     def test_unknown_dispatch_rejected(self):
-        from repro.errors import SimulationError
-        from repro.pipeline.config import ProcessorConfig
+        with pytest.raises(ConfigError, match="REPRO_DISPATCH") as info:
+            _processor(dispatch="vectorised")
+        assert "'columnar'" in str(info.value)
+        assert "'object'" in str(info.value)
 
-        with pytest.raises(SimulationError):
-            Processor(
-                workload("gcc", seed=0),
-                ProcessorConfig.default(),
-                make_steering("naive"),
-                dispatch="vectorised",
-            )
+    def test_unknown_env_value_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISPATCH", "vectorised")
+        with pytest.raises(ConfigError, match="REPRO_DISPATCH"):
+            _processor()
 
     def test_env_override_selects_object(self, monkeypatch):
-        from repro.pipeline.config import ProcessorConfig
-
         monkeypatch.setenv("REPRO_DISPATCH", "object")
-        processor = Processor(
-            workload("gcc", seed=0),
-            ProcessorConfig.default(),
-            make_steering("naive"),
-        )
-        assert processor.dispatch_mode == "object"
+        assert _processor().dispatch_mode == "object"
 
     def test_dispatch_modes_registry(self):
-        from repro.pipeline.processor import DISPATCH_MODES
-
         assert DISPATCH_MODES == ("columnar", "object")
 
     def test_columnar_is_default(self, monkeypatch):
-        from repro.pipeline.config import ProcessorConfig
-
         monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-        processor = Processor(
-            workload("gcc", seed=0),
-            ProcessorConfig.default(),
-            make_steering("naive"),
+        assert _processor().dispatch_mode == "columnar"
+
+    @pytest.mark.parametrize("scheduler_env", [None, "scan", "event"])
+    def test_object_engine_is_the_reference(self, monkeypatch,
+                                            scheduler_env):
+        """The benchmark's reference check re-simulates with
+        ``REPRO_DISPATCH=object REPRO_SCHEDULER=scan``; that must run
+        object dispatch, scan issue, object commit and a scan-mode LSQ,
+        whatever the (now ignored) scheduler variable says."""
+        monkeypatch.setenv("REPRO_DISPATCH", "object")
+        if scheduler_env is None:
+            monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SCHEDULER", scheduler_env)
+        processor = _processor()
+        assert processor._dispatch_stage.__func__ is Processor._dispatch
+        assert processor._issue_stage.__func__ is Processor._issue_scan
+        assert processor._commit_stage.__func__ is Processor._commit
+        assert processor.lsq.event_driven is False
+
+    def test_fifo_machine_runs_the_columnar_engine(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
+        processor = _processor(
+            config=machine_config("clustered-fifo"), scheme="fifo"
         )
-        assert processor.dispatch_mode == "columnar"
-
-
-class TestSchedulerSelection:
-    def test_unknown_scheduler_rejected(self):
-        from repro.errors import SimulationError
-        from repro.pipeline.config import ProcessorConfig
-
-        with pytest.raises(SimulationError):
-            Processor(
-                workload("gcc", seed=0),
-                ProcessorConfig.default(),
-                make_steering("naive"),
-                scheduler="quantum",
-            )
-
-    def test_env_override_selects_scan(self, monkeypatch):
-        from repro.pipeline.config import ProcessorConfig
-
-        monkeypatch.setenv("REPRO_SCHEDULER", "scan")
-        processor = Processor(
-            workload("gcc", seed=0),
-            ProcessorConfig.default(),
-            make_steering("naive"),
+        assert (
+            processor._dispatch_stage.__func__
+            is Processor._dispatch_columnar
         )
-        assert processor.scheduler == "scan"
-
-    def test_schedulers_registry(self):
-        assert SCHEDULERS == ("event", "scan")
+        assert processor._issue_stage.__func__ is Processor._issue_event
+        assert (
+            processor._commit_stage.__func__ is Processor._commit_columnar
+        )
+        assert processor.lsq.event_driven is True
 
 
 class TestFullWindowEdge:
     """Dispatch must stall cleanly, not raise, when a window fills."""
 
     def test_tiny_window_stalls_and_completes(self):
-        result = run_with("event", "gcc", "general-balance", "iq-2")
+        result = run_with("columnar", "gcc", "general-balance", "iq-2")
         # Commit retires up to retire_width per cycle, so the measured
         # window may overshoot the target by a cycle's worth.
         assert result.instructions >= N_INSTRUCTIONS
         assert result.stalls["iq"] > 0
-
-    def test_tiny_window_stalls_identically_in_both_schedulers(self):
-        assert_equivalent("gcc", "general-balance", "iq-2")

@@ -8,6 +8,7 @@ from repro.core.steering import (
     BalanceOnlySteering,
     PrimaryClusterSteering,
     available_schemes,
+    context_for,
     make_steering,
 )
 from repro.isa import DynInst, Instruction, Opcode
@@ -21,13 +22,15 @@ class TestAffinityOnly:
         scheme.reset(FakeMachine())
         machine = FakeMachine()
         # Integer architectural state starts in cluster 0.
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 0
+        assert scheme.choose_cluster(
+            context_for(machine), dyn(srcs=(1, 2))
+        ) == 0
 
     def test_tie_goes_to_integer_cluster(self):
         scheme = AffinityOnlySteering()
         machine = FakeMachine()
         scheme.reset(machine)
-        assert scheme.choose(dyn(srcs=()), machine) == 0
+        assert scheme.choose_cluster(context_for(machine), dyn(srcs=())) == 0
 
     def test_collapses_onto_one_cluster_end_to_end(self, fast_sim):
         """Without balancing, dependence chains pull nearly everything to
@@ -49,7 +52,7 @@ class TestBalanceOnly:
         machine = FakeMachine()
         scheme.reset(machine)
         machine.ready_counts = [9, 2]
-        assert scheme.choose(dyn(), machine) == 1
+        assert scheme.choose_cluster(context_for(machine), dyn()) == 1
 
     def test_spreads_work_end_to_end(self, fast_sim):
         result = fast_sim("gcc", "balance-only")
@@ -69,8 +72,8 @@ class TestPrimaryCluster:
         scheme.reset(machine)
         even_dst = dyn(dst=6, srcs=(1,))
         odd_dst = dyn(dst=7, srcs=(1,))
-        assert scheme.choose(even_dst, machine) == 0
-        assert scheme.choose(odd_dst, machine) == 1
+        assert scheme.choose_cluster(context_for(machine), even_dst) == 0
+        assert scheme.choose_cluster(context_for(machine), odd_dst) == 1
 
     def test_imbalance_override(self):
         scheme = PrimaryClusterSteering()
@@ -78,14 +81,18 @@ class TestPrimaryCluster:
         scheme.reset(machine)
         for _ in range(20):
             scheme.imbalance.on_steer(0)
-        assert scheme.choose(dyn(dst=6, srcs=(1,)), machine) == 1
+        assert scheme.choose_cluster(
+            context_for(machine), dyn(dst=6, srcs=(1,))
+        ) == 1
 
     def test_store_uses_first_source(self):
         scheme = PrimaryClusterSteering()
         machine = FakeMachine()
         scheme.reset(machine)
         store = dyn(Opcode.STORE, dst=None, srcs=(2, 5))
-        assert scheme.choose(store, machine) == 0  # reg 2 is even
+        assert scheme.choose_cluster(
+            context_for(machine), store
+        ) == 0  # reg 2 is even
 
     def test_end_to_end(self, fast_sim):
         result = fast_sim("li", "primary-cluster", n_instructions=1500,

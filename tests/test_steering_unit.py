@@ -10,6 +10,7 @@ from repro.core.steering import (
     NaiveSteering,
     NonSliceBalanceSteering,
     SliceBalanceSteering,
+    SteeringScheme,
     affinity_cluster,
     context_for,
     least_loaded,
@@ -23,7 +24,7 @@ from repro.rename import MapTable
 
 
 class FakeMachine:
-    """Just enough machine for unit-testing choose()/on_cycle()."""
+    """Just enough machine for unit-testing choose_cluster()/on_cycle()."""
 
     def __init__(self):
         self.config = ProcessorConfig.default()
@@ -77,16 +78,36 @@ class TestHelpers:
         assert tie
 
 
+class TestSchemeContract:
+    def test_choose_only_scheme_is_not_bridged(self):
+        """The pre-context ``choose(dyn, machine)`` signature is gone: a
+        scheme overriding only ``choose`` cannot steer."""
+
+        class ChooseOnly(SteeringScheme):
+            name = "choose-only"
+
+            def choose(self, dyn, machine):
+                return INT_CLUSTER
+
+        scheme = ChooseOnly()
+        machine = FakeMachine()
+        scheme.reset(machine)
+        with pytest.raises(NotImplementedError, match="choose_cluster"):
+            scheme.choose_cluster(context_for(machine), dyn())
+
+
 class TestNaive:
     def test_int_to_cluster0_fp_to_cluster1(self):
         scheme = NaiveSteering()
         scheme.reset(FakeMachine())
         machine = FakeMachine()
-        assert scheme.choose(dyn(), machine) == INT_CLUSTER
+        assert scheme.choose_cluster(
+            context_for(machine), dyn()
+        ) == INT_CLUSTER
         fp = dyn(Opcode.FADD, dst=fp_reg(0), srcs=(fp_reg(1),))
-        assert scheme.choose(fp, machine) == FP_CLUSTER
+        assert scheme.choose_cluster(context_for(machine), fp) == FP_CLUSTER
         load = dyn(Opcode.LOAD, dst=5, srcs=(1,))
-        assert scheme.choose(load, machine) == INT_CLUSTER
+        assert scheme.choose_cluster(context_for(machine), load) == INT_CLUSTER
 
 
 class TestModulo:
@@ -94,7 +115,10 @@ class TestModulo:
         scheme = ModuloSteering()
         scheme.reset(FakeMachine())
         machine = FakeMachine()
-        picks = [scheme.choose(dyn(seq=i), machine) for i in range(6)]
+        picks = [
+            scheme.choose_cluster(context_for(machine), dyn(seq=i))
+            for i in range(6)
+        ]
         assert picks == [0, 1, 0, 1, 0, 1]
 
 
@@ -105,10 +129,10 @@ class TestSliceSteering:
         machine = FakeMachine()
         load = dyn(Opcode.LOAD, pc=0x2000, dst=5, srcs=(1,))
         # Before any observation the load is not known to be in the slice.
-        assert scheme.choose(load, machine) == FP_CLUSTER
+        assert scheme.choose_cluster(context_for(machine), load) == FP_CLUSTER
         scheme.on_dispatch(context_for(machine), load, FP_CLUSTER)
         # Now its pc is flagged; the next instance steers to cluster 0.
-        assert scheme.choose(load, machine) == INT_CLUSTER
+        assert scheme.choose_cluster(context_for(machine), load) == INT_CLUSTER
 
     def test_slice_tagging_for_stats(self):
         scheme = LdStSliceSteering()
@@ -134,13 +158,17 @@ class TestNonSliceBalance:
         for _ in range(20):
             scheme.imbalance.on_steer(0)
         # Operands live in cluster 0, but balance demands cluster 1.
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 1
+        assert scheme.choose_cluster(
+            context_for(machine), dyn(srcs=(1, 2))
+        ) == 1
 
     def test_affinity_when_balanced(self):
         scheme = NonSliceBalanceSteering("ldst")
         machine = FakeMachine()
         scheme.reset(machine)
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 0
+        assert scheme.choose_cluster(
+            context_for(machine), dyn(srcs=(1, 2))
+        ) == 0
 
 
 class TestSliceBalance:
@@ -169,14 +197,16 @@ class TestGeneralBalance:
         scheme = GeneralBalanceSteering()
         machine = FakeMachine()
         scheme.reset(machine)
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 0
+        assert scheme.choose_cluster(
+            context_for(machine), dyn(srcs=(1, 2))
+        ) == 0
 
     def test_tie_goes_least_loaded(self):
         scheme = GeneralBalanceSteering()
         machine = FakeMachine()
         scheme.reset(machine)
         machine.ready_counts = [6, 1]
-        assert scheme.choose(dyn(srcs=()), machine) == 1
+        assert scheme.choose_cluster(context_for(machine), dyn(srcs=())) == 1
 
     def test_imbalance_override(self):
         scheme = GeneralBalanceSteering()
@@ -184,7 +214,9 @@ class TestGeneralBalance:
         scheme.reset(machine)
         for _ in range(20):
             scheme.imbalance.on_steer(0)
-        assert scheme.choose(dyn(srcs=(1, 2)), machine) == 1
+        assert scheme.choose_cluster(
+            context_for(machine), dyn(srcs=(1, 2))
+        ) == 1
 
     def test_copies_do_not_count_in_i1(self):
         from repro.isa import make_copy_inst
