@@ -622,6 +622,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from . import scenarios
+    from .errors import ScenarioError
     from .workloads import workload
 
     if args.trace_cmd == "export":
@@ -630,23 +631,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         meta = scenarios.export_trace(wl, out, args.records)
         print(f"wrote {out}: {meta.describe()}")
         return 0
-    if args.trace_cmd == "info":
-        print(scenarios.read_meta(args.file).describe())
-        return 0
     if args.trace_cmd == "show":
         return _cmd_trace_show(args)
-    # trace import FILE
-    wl = scenarios.register_trace(args.file, name=args.name)
-    shared = wl.shared_trace()
-    print(
-        f"imported {args.file} as workload {wl.name!r} "
-        f"({len(shared)} records, seed {wl.seed})"
-    )
-    if args.check:
-        n = min(1000, max(1, len(shared) - 500))
-        result = simulate(wl, steering="general-balance",
-                          n_instructions=n, warmup=min(300, n // 2))
-        print(f"replay check: IPC {result.ipc:.3f} over {n} instructions")
+    try:
+        if args.trace_cmd == "info":
+            print(scenarios.read_meta(args.file).describe())
+            return 0
+        # trace import FILE
+        wl = scenarios.register_trace(args.file, name=args.name)
+        shared = wl.shared_trace()
+        print(
+            f"imported {args.file} as workload {wl.name!r} "
+            f"({len(shared)} records, seed {wl.seed})"
+        )
+        if args.check:
+            n = min(1000, max(1, len(shared) - 500))
+            result = simulate(wl, steering="general-balance",
+                              n_instructions=n, warmup=min(300, n // 2))
+            print(f"replay check: IPC {result.ipc:.3f} over {n} instructions")
+    except ScenarioError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -19,21 +19,26 @@ name, seed, generator profile when known), the full static program
 records in column form (``pc`` / ``taken`` / ``addr`` parallel lists)
 with a CRC-32 over the columns for corruption detection.
 
-Imported traces replay through :class:`FrozenTrace`, a
-:class:`~repro.workloads.trace.SharedTrace` that serves the recorded
-records and refuses to extend past them: a frozen trace has no executor,
-so running a longer window than was exported raises
-:class:`~repro.errors.ScenarioError` instead of silently diverging.
+Import decodes the record columns straight into one fixed-length
+:class:`~repro.workloads.columns.TraceColumns` buffer and replays it
+through :class:`FrozenTrace`, a :class:`~repro.workloads.trace.SharedTrace`
+that has no executor and refuses to extend: running a longer window than
+was exported raises :class:`~repro.errors.ScenarioError` instead of
+silently diverging.  A document that decodes but is malformed (a
+missing or mistyped field, an unknown opcode, a pc outside the program)
+raises :class:`~repro.errors.ScenarioError` naming its origin and the
+bad field.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..errors import ScenarioError
+from ..errors import ScenarioError, WorkloadError
 from ..isa import Instruction
 from ..isa.opcodes import Opcode
 from ..workloads import Workload, WorkloadProfile
@@ -43,8 +48,8 @@ from ..workloads.program import (
     MemBehavior,
     StaticProgram,
 )
-from ..workloads.columns import TraceColumns
-from ..workloads.trace import SharedTrace, TraceRecord
+from ..workloads.columns import TAKEN, TraceColumns
+from ..workloads.trace import SharedTrace
 
 #: File magic: format id, major format version, newline guard against
 #: text-mode mangling.
@@ -61,69 +66,33 @@ EXPORT_CUSHION = 4096
 
 
 class FrozenTrace(SharedTrace):
-    """A :class:`SharedTrace` replaying recorded records only.
+    """A :class:`SharedTrace` with no executor, over fixed columns.
 
     Behaves exactly like a live shared trace up to its recorded length
     and raises :class:`ScenarioError` beyond it (no executor exists to
     extend the buffer).  Frozen traces do not count as trace *builds* in
     :func:`repro.workloads.trace_build_counts` — nothing is decoded.
-
-    A frozen trace is backed by the classic record list, by a pinned
-    :class:`~repro.workloads.columns.TraceColumns` set (the columnar
-    import path), or both.  Column-backed traces materialise the record
-    list lazily, only if an object-path consumer asks for records — the
-    columnar pipeline never does.
     """
 
     def __init__(
-        self,
-        program: StaticProgram,
-        seed: int,
-        records: Optional[List[TraceRecord]] = None,
-        columns=None,
+        self, program: StaticProgram, seed: int, columns: TraceColumns
     ) -> None:
         # Deliberately no super().__init__(): there is no TraceExecutor
         # behind a frozen trace, and importing one must not bump the
         # build counters the campaign tests use to prove "no regeneration".
-        if records is None and columns is None:
-            raise ScenarioError("frozen trace needs records or columns")
         self.program = program
         self.seed = seed
-        self._source = None
-        self._records = list(records) if records is not None else None
         self._columns = columns
-        if columns is not None:
-            columns._trace = self
-
-    @property
-    def n_recorded(self) -> int:
-        """Length of the recorded committed path."""
-        if self._records is not None:
-            return len(self._records)
-        return self._columns.n
-
-    def __len__(self) -> int:
-        return self.n_recorded
+        columns._trace = self
 
     def ensure(self, n: int) -> None:
         """Check the recorded prefix covers *n* records (never extends)."""
-        if n > self.n_recorded:
+        if n > len(self._columns):
             raise ScenarioError(
                 f"frozen trace of {self.program.name!r} holds "
-                f"{self.n_recorded} records but {n} were requested; "
+                f"{len(self._columns)} records, too few for this run; "
                 f"re-export the trace with a larger --records"
             )
-
-    def record(self, index: int) -> TraceRecord:
-        """The *index*-th recorded committed instruction."""
-        self.ensure(index + 1)
-        if self._records is None:
-            # Object-path consumer of a column-backed trace: regenerate
-            # the record list once.  Deprecated — see the README's
-            # Experiment API notes; the columnar pipeline reads the
-            # pinned columns directly and never takes this branch.
-            self._records = self._columns.to_records()
-        return self._records[index]
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +203,10 @@ def export_trace_bytes(
     total = n_records + cushion
     shared = wl.shared_trace()
     shared.ensure(total)
-    pcs = []
-    taken = []
-    addrs = []
-    for index in range(total):
-        record = shared.record(index)
-        pcs.append(record.inst.pc)
-        taken.append(1 if record.taken else 0)
-        addrs.append(record.mem_addr)
+    cols = shared.columns()
+    pcs = cols.pcs[:total]
+    taken = [1 if f & TAKEN else 0 for f in cols.flags[:total]]
+    addrs = cols.mem_addrs[:total]
     profile_doc: Optional[Dict[str, object]] = None
     if wl.profile is not None:
         profile_doc = asdict(wl.profile)
@@ -287,7 +252,36 @@ def export_trace(
     return meta
 
 
+@contextmanager
+def _field_errors(origin: str, field: str) -> Iterator[None]:
+    """Re-raise a decode failure inside *field* as a named ScenarioError."""
+    try:
+        yield
+    except (
+        AttributeError, IndexError, KeyError, TypeError, ValueError,
+        WorkloadError,
+    ) as error:
+        raise ScenarioError(
+            f"{origin}: malformed {field!r} field "
+            f"({type(error).__name__}: {error})"
+        ) from None
+
+
+def _checked(origin: str, doc: dict, field: str, kind: type):
+    """``doc[field]`` if it is exactly a *kind* (bools are not ints)."""
+    if field not in doc:
+        raise ScenarioError(f"{origin}: missing field {field!r}")
+    value = doc[field]
+    if type(value) is not kind:
+        raise ScenarioError(
+            f"{origin}: field {field!r} must be {kind.__name__}, "
+            f"not {type(value).__name__}"
+        )
+    return value
+
+
 def _parse_doc(data: bytes, origin: str) -> dict:
+    """Decode and shape-check an ``.rtrace`` document's top level."""
     head, body = data[: len(MAGIC)], data[len(MAGIC):]
     if head != MAGIC:
         raise ScenarioError(
@@ -299,81 +293,83 @@ def _parse_doc(data: bytes, origin: str) -> dict:
         raise ScenarioError(
             f"{origin}: corrupt .rtrace body ({error})"
         ) from None
-    if doc.get("format") != "rtrace":
+    if type(doc) is not dict or doc.get("format") != "rtrace":
         raise ScenarioError(f"{origin}: unrecognised payload format")
-    if doc.get("version", 0) > VERSION:
+    version = _checked(origin, doc, "version", int)
+    if version > VERSION:
         raise ScenarioError(
-            f"{origin}: format v{doc.get('version')} is newer than this "
+            f"{origin}: format v{version} is newer than this "
             f"reader (v{VERSION}); upgrade repro"
         )
+    for field, kind in (
+        ("name", str), ("seed", int), ("program", dict), ("records", dict),
+    ):
+        _checked(origin, doc, field, kind)
+    for column in ("pc", "taken", "addr"):
+        _checked(origin, doc["records"], column, list)
     return doc
 
 
 def _read_doc(path: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as error:
+        raise ScenarioError(
+            f"{path}: cannot read .rtrace file ({error.strerror or error})"
+        ) from None
     return _parse_doc(data, path)
 
 
 def read_meta(path: str) -> TraceMeta:
     """Read only the metadata of an ``.rtrace`` file."""
     doc = _read_doc(path)
+    with _field_errors(path, "program"):
+        static_instructions = sum(
+            len(b["insts"]) for b in doc["program"]["blocks"]
+        )
     return TraceMeta(
         name=doc["name"],
         seed=doc["seed"],
         n_records=len(doc["records"]["pc"]),
         version=doc["version"],
         has_profile=doc.get("profile") is not None,
-        static_instructions=sum(
-            len(b["insts"]) for b in doc["program"]["blocks"]
-        ),
+        static_instructions=static_instructions,
     )
 
 
-def import_trace(
-    path: str, name: Optional[str] = None, columnar: bool = True
-) -> Workload:
+def import_trace(path: str, name: Optional[str] = None) -> Workload:
     """Load an ``.rtrace`` file into a replayable :class:`Workload`.
 
     The returned workload carries the reconstructed static program and a
-    :class:`FrozenTrace` over the recorded committed path; simulating it
-    never touches the program generator or the trace executor.  *name*
-    overrides the recorded workload name (useful when registering several
-    traces of the same benchmark).
-
-    With ``columnar=True`` (the default) the record columns of the file
-    are decoded straight into a pinned
-    :class:`~repro.workloads.columns.TraceColumns` set — the form the
-    columnar fetch/dispatch core consumes — and the classic per-record
-    ``TraceRecord`` list is only regenerated if an object-path consumer
-    asks for it.  ``columnar=False`` restores the eager record build.
+    :class:`FrozenTrace` over the recorded committed path, whose record
+    columns are decoded straight into the
+    :class:`~repro.workloads.columns.TraceColumns` buffer both engines
+    read; simulating it never touches the program generator or the
+    trace executor.  *name* overrides the recorded workload name (useful
+    when registering several traces of the same benchmark).
     """
-    return _workload_from_doc(_read_doc(path), path, name, columnar)
+    return _workload_from_doc(_read_doc(path), path, name)
 
 
 def import_trace_bytes(
     data: bytes,
     name: Optional[str] = None,
     origin: str = "<bytes>",
-    columnar: bool = True,
 ) -> Workload:
     """:func:`import_trace` for in-memory ``.rtrace`` contents.
 
     This is the receiving half of the worker protocol's ``preload`` op:
     the dispatcher ships :func:`export_trace_bytes` output and the worker
     pins the resulting :class:`FrozenTrace` without touching the
-    filesystem.  The same magic/CRC guards apply — corrupt bytes raise
-    :class:`~repro.errors.ScenarioError` naming *origin*.  *columnar*
-    behaves as in :func:`import_trace`.
+    filesystem.  The same magic/CRC/shape guards apply — malformed bytes
+    raise :class:`~repro.errors.ScenarioError` naming *origin*.
     """
-    return _workload_from_doc(_parse_doc(data, origin), origin, name, columnar)
+    return _workload_from_doc(_parse_doc(data, origin), origin, name)
 
 
 def _workload_from_doc(
-    doc: dict,
-    origin: str,
-    name: Optional[str] = None,
-    columnar: bool = True,
+    doc: dict, origin: str, name: Optional[str] = None
 ) -> Workload:
     columns = doc["records"]
     pcs, taken, addrs = columns["pc"], columns["taken"], columns["addr"]
@@ -381,30 +377,22 @@ def _workload_from_doc(
         raise ScenarioError(f"{origin}: record columns have unequal lengths")
     if doc.get("crc") != _records_crc(pcs, taken, addrs):
         raise ScenarioError(f"{origin}: record checksum mismatch")
-    program = _program_from_doc(doc["program"])
-    if columnar:
-        # Decode the wire columns straight into the structure-of-arrays
-        # form — no intermediate TraceRecord tuples.  The frozen trace
-        # pins the columns; records regenerate lazily if ever needed.
+    with _field_errors(origin, "program"):
+        program = _program_from_doc(doc["program"])
+    with _field_errors(origin, "records"):
         cols = TraceColumns.from_arrays(program, pcs, taken, addrs)
-        frozen = FrozenTrace(program, doc["seed"], columns=cols)
-    else:
-        records = [
-            TraceRecord(program.instruction_at(pc), bool(t), addr)
-            for pc, t, addr in zip(pcs, taken, addrs)
-        ]
-        frozen = FrozenTrace(program, doc["seed"], records)
     profile = None
     if doc.get("profile") is not None:
-        profile_doc = dict(doc["profile"])
-        profile_doc["data_branch_bias"] = tuple(
-            profile_doc["data_branch_bias"]
-        )
-        profile = WorkloadProfile(**profile_doc)
+        with _field_errors(origin, "profile"):
+            profile_doc = dict(doc["profile"])
+            profile_doc["data_branch_bias"] = tuple(
+                profile_doc["data_branch_bias"]
+            )
+            profile = WorkloadProfile(**profile_doc)
     return Workload(
         name=name or doc["name"],
         profile=profile,
         program=program,
         seed=doc["seed"],
-        _shared_trace=frozen,
+        _shared_trace=FrozenTrace(program, doc["seed"], cols),
     )

@@ -1,35 +1,33 @@
-"""Structure-of-arrays form of a committed trace (the columnar core).
+"""Structure-of-arrays form of a committed trace: the one trace buffer.
 
 :class:`TraceColumns` holds one workload's committed path as parallel
 arrays — static :class:`~repro.isa.Instruction` references, program
-counters, packed per-record flags, memory addresses and dense static
-(slice) ids — instead of a list of per-record tuples.  The fetch and
-dispatch hot paths index these arrays directly, which removes the
-per-instruction method-call chain (``_peek``/``_pop``/``record``) the
-object path pays for every fetched record.
+counters, packed per-record flags and memory addresses — instead of a
+list of per-record tuples.  It is the only in-memory form of a
+committed trace.  The fetch and dispatch hot paths index these arrays
+directly; the reference engine reads
+:class:`~repro.workloads.trace.TraceRecord` tuples that
+:meth:`SharedTrace.record <repro.workloads.trace.SharedTrace.record>`
+builds from them on demand.
 
-Columns are built once per shared trace and pinned alongside it:
+A column set is filled one of two ways:
 
-* :meth:`TraceColumns.for_trace` wraps a live
-  :class:`~repro.workloads.trace.SharedTrace` (or a record-backed frozen
-  trace) and extends lazily as the underlying buffer grows;
+* a live :class:`~repro.workloads.trace.SharedTrace` owns one and
+  appends executor output to it through :meth:`TraceColumns.extend`,
+  growing on demand as consumers run past the decoded prefix;
 * :meth:`TraceColumns.from_arrays` decodes an ``.rtrace`` document's
-  ``pc``/``taken``/``addr`` columns straight into DynInst-ready arrays
-  without materialising intermediate ``TraceRecord`` tuples — the
-  ``import_trace(..., columnar=True)`` fast path.
+  ``pc``/``taken``/``addr`` columns straight into a fixed-length set,
+  which an imported :class:`~repro.scenarios.rtrace.FrozenTrace` pins.
 
 The numpy kernel (bulk line-id computation for the I-cache line checks)
 is optional: it engages only when numpy is importable, only for the
 initial bulk build, and produces exactly the integers the pure-Python
-fallback does.  Nothing in this module is reachable unless the columnar
-engine runs (the default; ``REPRO_DISPATCH=object`` selects the
-reference engine, which reads trace records instead) or columns are
-requested explicitly.
+fallback does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..errors import ScenarioError
 
@@ -70,10 +68,6 @@ class TraceColumns:
         Packed ``TAKEN | CONTROL | CONDITIONAL | MEMORY`` bits.
     ``mem_addrs``
         Effective address for memory records (0 otherwise).
-    ``static_ids``
-        Dense per-static-instruction index (first-seen order) — the
-        compact slice-id key steering memo tables use instead of sparse
-        PCs.  Stable within one :class:`TraceColumns`.
 
     Plain Python lists are deliberate: the hot loops index one element
     at a time, where list indexing beats numpy scalar access.  numpy is
@@ -86,40 +80,29 @@ class TraceColumns:
         "pcs",
         "flags",
         "mem_addrs",
-        "static_ids",
         "_per_pc",
-        "_pc_ids",
         "_line_cache",
         "_trace",
     )
 
-    def __init__(self, program) -> None:
+    def __init__(self, program, trace=None) -> None:
         self.program = program
         self.insts: List[object] = []
         self.pcs: List[int] = []
         self.flags: List[int] = []
         self.mem_addrs: List[int] = []
-        self.static_ids: List[int] = []
-        #: pc -> (instruction, base flags, static id) build cache.
+        #: pc -> (instruction, base flags) build cache.
         self._per_pc: Dict[int, tuple] = {}
-        self._pc_ids: Dict[int, int] = {}
         #: line_bytes -> per-record I-cache line ids (extended in step
         #: with the record columns, so cached lists stay valid).
         self._line_cache: Dict[int, List[int]] = {}
-        #: Backing trace for lazy extension (None = fixed length).
-        self._trace = None
+        #: Owning trace, asked to extend the columns on demand
+        #: (None = fixed length).
+        self._trace = trace
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def for_trace(cls, trace) -> "TraceColumns":
-        """Columns over *trace*'s record buffer, extending on demand."""
-        self = cls(trace.program)
-        self._trace = trace
-        self.sync()
-        return self
-
     @classmethod
     def from_arrays(
         cls,
@@ -136,64 +119,41 @@ class TraceColumns:
         """
         self = cls(program)
         info = self._pc_info
-        out_insts = self.insts
-        out_pcs = self.pcs
-        out_flags = self.flags
-        out_addrs = self.mem_addrs
-        out_sids = self.static_ids
-        for pc, t, addr in zip(pcs, taken, addrs):
-            inst, base, sid = info(pc)
-            out_insts.append(inst)
-            out_pcs.append(pc)
-            out_flags.append(base | TAKEN if t else base)
-            out_addrs.append(addr)
-            out_sids.append(sid)
+        self.extend(
+            (info(pc)[0], t, addr) for pc, t, addr in zip(pcs, taken, addrs)
+        )
         return self
 
     def _pc_info(self, pc: int) -> tuple:
-        """(instruction, base flags, static id) of *pc*, cached."""
+        """(instruction, base flags) of *pc*, cached."""
         tup = self._per_pc.get(pc)
         if tup is None:
             inst = self.program.instruction_at(pc)
-            sid = self._pc_ids.setdefault(pc, len(self._pc_ids))
-            tup = (inst, _base_flags(inst), sid)
-            self._per_pc[pc] = tup
+            tup = self._per_pc[pc] = (inst, _base_flags(inst))
         return tup
 
     # ------------------------------------------------------------------
-    # Length / extension protocol
+    # Extension protocol
     # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        """Records decoded into the columns so far."""
-        return len(self.pcs)
+    def extend(self, records: Iterable) -> None:
+        """Append ``(inst, taken, mem_addr)`` records to the columns.
 
-    def sync(self) -> None:
-        """Pull records the backing trace materialised since last sync."""
-        trace = self._trace
-        if trace is None:
-            return
-        records = trace._records
-        if records is None:
-            return
-        start = len(self.pcs)
-        if start >= len(records):
-            return
+        Cached :meth:`line_ids` lists are extended in place, so hot
+        loops may hold a reference across extensions.
+        """
         info = self._pc_info
         out_insts = self.insts
         out_pcs = self.pcs
         out_flags = self.flags
         out_addrs = self.mem_addrs
-        out_sids = self.static_ids
-        for record in records[start:]:
-            inst = record.inst
+        start = len(out_pcs)
+        for inst, taken, mem_addr in records:
             pc = inst.pc
-            _, base, sid = info(pc)
+            base = info(pc)[1]
             out_insts.append(inst)
             out_pcs.append(pc)
-            out_flags.append(base | TAKEN if record.taken else base)
-            out_addrs.append(record.mem_addr)
-            out_sids.append(sid)
+            out_flags.append(base | TAKEN if taken else base)
+            out_addrs.append(mem_addr)
         if self._line_cache:
             new_pcs = out_pcs[start:]
             for line_bytes, ids in self._line_cache.items():
@@ -202,25 +162,19 @@ class TraceColumns:
     def require(self, n: int) -> None:
         """Make at least *n* records available, or raise.
 
-        Mirrors the timing of the object path's ``_peek``: a live shared
-        trace extends its buffer (in the same chunks ``record`` uses); a
-        frozen trace raises :class:`~repro.errors.ScenarioError` with
-        the same message the record path produces.
+        Mirrors the timing of the reference engine's record fetch: the
+        owning trace extends (in the chunks
+        :meth:`~repro.workloads.trace.SharedTrace.record` uses) or, when
+        frozen, raises :class:`~repro.errors.ScenarioError`.
         """
         if n <= len(self.pcs):
             return
-        trace = self._trace
-        if trace is None:
+        if self._trace is None:
             raise ScenarioError(
                 f"trace columns hold {len(self.pcs)} records but {n} "
                 f"were requested"
             )
-        trace.record(n - 1)  # extends (chunked) or raises ScenarioError
-        self.sync()
-        if n > len(self.pcs):  # pragma: no cover - defensive
-            raise ScenarioError(
-                f"trace columns could not extend to {n} records"
-            )
+        self._trace.record(n - 1)  # extends (chunked) or raises
 
     # ------------------------------------------------------------------
     # Derived columns
@@ -228,7 +182,7 @@ class TraceColumns:
     def line_ids(self, line_bytes: int) -> List[int]:
         """Per-record I-cache line ids (``pc // line_bytes``), cached.
 
-        The cached list is extended in place by :meth:`sync`, so hot
+        The cached list is extended in place by :meth:`extend`, so hot
         loops may hold a reference across extensions.  The initial bulk
         build vectorises through numpy when available.
         """
@@ -242,21 +196,6 @@ class TraceColumns:
                 ids = [pc // line_bytes for pc in self.pcs]
             self._line_cache[line_bytes] = ids
         return ids
-
-    # ------------------------------------------------------------------
-    # Interop with the record form
-    # ------------------------------------------------------------------
-    def to_records(self) -> list:
-        """Materialise the classic ``TraceRecord`` list (object path)."""
-        from .trace import TraceRecord
-
-        insts = self.insts
-        flags = self.flags
-        addrs = self.mem_addrs
-        return [
-            TraceRecord(insts[i], (flags[i] & TAKEN) != 0, addrs[i])
-            for i in range(len(insts))
-        ]
 
     def __len__(self) -> int:
         return len(self.pcs)

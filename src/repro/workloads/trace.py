@@ -10,12 +10,14 @@ simulated; a mispredicted branch instead stalls fetch until it resolves.
 outcomes and memory addresses from the per-instruction behaviours attached
 to the program.  Iteration is deterministic for a fixed seed.
 
-:class:`SharedTrace` materialises that committed path once and replays it
-to any number of simulations: a figure campaign running ten steering
+:class:`SharedTrace` materialises that committed path once, into one
+:class:`~repro.workloads.columns.TraceColumns` buffer, and replays it to
+any number of simulations: a figure campaign running ten steering
 schemes over one benchmark decodes the trace a single time instead of
-ten.  Replays are exact — a :class:`TraceReplay` yields the very records
-the underlying executor produced, lazily extending the shared buffer when
-a consumer runs past the materialised prefix.
+ten.  The columnar engine indexes the buffer directly; a
+:class:`TraceReplay` (the reference engine's view) yields records equal
+to the ones the executor produced, rebuilt from the columns and
+extending the buffer when a consumer runs past the materialised prefix.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import random
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from ..isa import Instruction
+from .columns import TAKEN, TraceColumns
 from .program import (
     StaticProgram,
     sample_branch_outcome,
@@ -138,7 +141,8 @@ def reset_trace_stats() -> None:
 class SharedTrace:
     """A lazily materialised committed path, shared across simulations.
 
-    Wraps one :class:`TraceExecutor` and buffers everything it emits.
+    Wraps one :class:`TraceExecutor` and appends everything it emits to
+    one :class:`~repro.workloads.columns.TraceColumns` buffer.
     :meth:`replay` hands out independent cursors over the buffer, so many
     processors can consume the same dynamic stream without re-sampling
     branch outcomes or memory addresses.  The buffer grows on demand and
@@ -156,46 +160,41 @@ class SharedTrace:
         self.program = program
         self.seed = seed
         self._source = TraceExecutor(program, seed=seed)
-        self._records: List[TraceRecord] = []
-        self._columns = None
+        self._columns = TraceColumns(program, trace=self)
         key = (program.name, seed)
         _BUILD_COUNTS[key] = _BUILD_COUNTS.get(key, 0) + 1
 
     def __len__(self) -> int:
         """Records materialised so far."""
-        return len(self._records)
+        return len(self._columns)
 
     def ensure(self, n: int) -> None:
         """Materialise the committed path out to at least *n* records."""
-        records = self._records
-        source = self._source
-        while len(records) < n:
-            records.append(next(source))
+        missing = n - len(self._columns)
+        if missing > 0:
+            self._columns.extend(itertools.islice(self._source, missing))
 
     def record(self, index: int) -> TraceRecord:
         """The *index*-th committed record (materialising as needed)."""
-        if index >= len(self._records):
+        cols = self._columns
+        if index >= len(cols.pcs):
             self.ensure(index + _EXTEND_CHUNK)
-        return self._records[index]
+        return TraceRecord(
+            cols.insts[index],
+            (cols.flags[index] & TAKEN) != 0,
+            cols.mem_addrs[index],
+        )
 
     def replay(self) -> "TraceReplay":
         """A fresh cursor over the shared stream (starts at record 0)."""
         return TraceReplay(self)
 
-    def columns(self):
-        """Structure-of-arrays view of the trace, built once and pinned.
+    def columns(self) -> TraceColumns:
+        """The trace's column buffer, pinned for its lifetime.
 
-        The returned :class:`~repro.workloads.columns.TraceColumns`
-        extends in step with this buffer; every simulation of the same
-        shared trace reuses the same column set (the columnar pipeline's
-        analogue of sharing the record buffer).
+        Every simulation of the same shared trace indexes the same
+        column set, which extends in place as the trace grows.
         """
-        from .columns import TraceColumns
-
-        if self._columns is None:
-            self._columns = TraceColumns.for_trace(self)
-        else:
-            self._columns.sync()
         return self._columns
 
 

@@ -1,6 +1,7 @@
 """Scenario corpus tests: rtrace round trips, registry, suites, cache keys."""
 
 import dataclasses
+import re
 import zlib
 
 import pytest
@@ -18,6 +19,7 @@ from repro.scenarios import (
     get_family,
     get_suite,
     import_trace,
+    import_trace_bytes,
     read_meta,
     register_family,
     register_suite,
@@ -113,6 +115,68 @@ class TestTraceRoundTrip:
         assert import_trace(path, name="li-variant").name == "li-variant"
 
 
+def _doc_of(path):
+    import json
+
+    with open(path, "rb") as fh:
+        fh.read(len(MAGIC))
+        return json.loads(zlib.decompress(fh.read()))
+
+
+def _write_doc(path, doc, recrc=False):
+    """Write *doc* as an .rtrace file (optionally with a fresh, valid CRC)."""
+    import json
+
+    from repro.scenarios.rtrace import _records_crc
+
+    if recrc:
+        records = doc["records"]
+        doc["crc"] = _records_crc(
+            records["pc"], records["taken"], records["addr"]
+        )
+    path.write_bytes(MAGIC + zlib.compress(json.dumps(doc).encode()))
+
+
+def _bad_pc(doc):
+    doc["records"]["pc"][0] = 0xDEAD0
+    return doc, True, "'records'"
+
+
+def _bad_opcode(doc):
+    doc["program"]["blocks"][0]["insts"][0][1] = 999
+    return doc, False, "'program'"
+
+
+def _no_records(doc):
+    del doc["records"]
+    return doc, False, "missing field 'records'"
+
+
+def _string_version(doc):
+    doc["version"] = "2"
+    return doc, False, "'version' must be int"
+
+
+def _list_body(doc):
+    return [doc], False, "unrecognised payload format"
+
+
+def _string_seed(doc):
+    doc["seed"] = "x"
+    return doc, False, "'seed' must be int"
+
+
+#: Documents whose zlib body (and, where records are edited, CRC) are
+#: valid but whose contents are wrong: each must be a named ScenarioError.
+MALFORMED = [
+    _bad_pc, _bad_opcode, _no_records, _string_version, _list_body,
+    _string_seed,
+]
+
+#: The subset :func:`read_meta` decodes (it never rebuilds the program).
+MALFORMED_META = [_no_records, _string_version, _list_body, _string_seed]
+
+
 class TestTraceFileFormat:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "fake.rtrace"
@@ -150,6 +214,42 @@ class TestTraceFileFormat:
         )
         with pytest.raises(ScenarioError, match="checksum"):
             import_trace(str(bad))
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        path = str(tmp_path / "good.rtrace")
+        export_trace(workload("li"), path, 50, cushion=0)
+        return path
+
+    @pytest.mark.parametrize("mutate", MALFORMED, ids=lambda f: f.__name__)
+    def test_import_names_origin_and_field(self, tmp_path, good, mutate):
+        doc, recrc, field = mutate(_doc_of(good))
+        bad = tmp_path / "bad.rtrace"
+        _write_doc(bad, doc, recrc)
+        with pytest.raises(ScenarioError, match=re.escape(field)) as info:
+            import_trace(str(bad))
+        assert str(info.value).startswith(f"{bad}:")
+        with pytest.raises(ScenarioError, match="^wire: "):
+            import_trace_bytes(bad.read_bytes(), origin="wire")
+
+    @pytest.mark.parametrize(
+        "mutate", MALFORMED_META, ids=lambda f: f.__name__
+    )
+    def test_read_meta_names_origin_and_field(self, tmp_path, good, mutate):
+        doc, recrc, field = mutate(_doc_of(good))
+        bad = tmp_path / "bad.rtrace"
+        _write_doc(bad, doc, recrc)
+        with pytest.raises(ScenarioError, match=re.escape(field)) as info:
+            read_meta(str(bad))
+        assert str(info.value).startswith(f"{bad}:")
+
+    def test_unreadable_file_is_named(self, tmp_path):
+        missing = str(tmp_path / "missing.rtrace")
+        for reader in (import_trace, read_meta):
+            with pytest.raises(ScenarioError, match="cannot read"):
+                reader(missing)
+            with pytest.raises(ScenarioError, match="cannot read"):
+                reader(str(tmp_path))  # a directory
 
 
 # ----------------------------------------------------------------------
@@ -439,6 +539,24 @@ class TestScenariosCLI:
         out = capsys.readouterr().out
         assert "replay check" in out
         unregister_trace("m88ksim-cli")
+
+    def test_trace_cli_broken_file_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "gcc.rtrace"
+        assert main([
+            "trace", "export", "-b", "gcc", "-o", str(path), "-r", "300",
+        ]) == 0
+        capsys.readouterr()
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])  # truncate
+        for cmd in (["info"], ["import", "--check"]):
+            assert main(["trace", cmd[0], str(path), *cmd[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {path}: ")
+            assert "Traceback" not in captured.out + captured.err
+        assert main(["trace", "info", str(tmp_path / "absent.rtrace")]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
     def test_resume_without_store_is_an_error(self, capsys):
         from repro.cli import main

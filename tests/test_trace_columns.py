@@ -1,10 +1,11 @@
-"""Unit tests for the columnar trace representation and steering memo.
+"""Unit tests for the columnar trace buffer and steering memo.
 
-``TraceColumns`` is the structure-of-arrays core the columnar pipeline
-fetches from; these tests pin its round-trip fidelity against the
-classic ``TraceRecord`` form, the ``.rtrace`` array decode path, the
-frozen-length contract, and the slice-steering memoisation counters it
-enabled (surfaced through ``repro.telemetry.metrics``).
+``TraceColumns`` is the one in-memory form of a committed trace; these
+tests pin the record view rebuilt from it against a fresh executor,
+the ``.rtrace`` array decode path, in-place extension across the
+shared trace's growth chunks, the frozen-length contract, engine
+equivalence on an imported trace, and the slice-steering memoisation
+counters it enabled (surfaced through ``repro.telemetry.metrics``).
 """
 
 import pytest
@@ -13,8 +14,10 @@ from repro.core.slices import SliceFlagTable
 from repro.core.steering import make_steering
 from repro.errors import ScenarioError
 from repro.pipeline import Processor, ProcessorConfig
+from repro.scenarios import export_trace, import_trace
 from repro.workloads import TraceColumns, workload
 from repro.workloads.columns import CONDITIONAL, CONTROL, MEMORY, TAKEN
+from repro.workloads.trace import _EXTEND_CHUNK, SharedTrace, TraceExecutor
 
 N_RECORDS = 600
 
@@ -27,18 +30,15 @@ def shared():
 
 
 class TestRoundTrip:
-    def test_to_records_matches_backing_trace(self, shared):
+    def test_record_view_matches_executor(self, shared):
         cols = shared.columns()
-        cols.sync()
-        records = shared._records
-        back = cols.to_records()
-        assert len(back) >= N_RECORDS
-        for rec, orig in zip(back, records):
-            assert rec == orig
+        n = len(cols)
+        assert n >= N_RECORDS
+        fresh = TraceExecutor(shared.program, shared.seed).take(n)
+        assert [shared.record(i) for i in range(n)] == fresh
 
     def test_from_arrays_rebuilds_identical_columns(self, shared):
         cols = shared.columns()
-        cols.sync()
         n = min(len(cols), N_RECORDS)
         taken = [(f & TAKEN) != 0 for f in cols.flags[:n]]
         rebuilt = TraceColumns.from_arrays(
@@ -47,11 +47,10 @@ class TestRoundTrip:
         assert rebuilt.pcs == cols.pcs[:n]
         assert rebuilt.flags == cols.flags[:n]
         assert rebuilt.mem_addrs == cols.mem_addrs[:n]
-        assert rebuilt.to_records() == cols.to_records()[:n]
+        assert rebuilt.insts == cols.insts[:n]
 
     def test_flags_encode_instruction_kind(self, shared):
         cols = shared.columns()
-        cols.sync()
         for inst, flags in zip(cols.insts, cols.flags):
             assert bool(flags & CONTROL) == inst.is_control
             assert bool(flags & CONDITIONAL) == inst.is_conditional
@@ -59,7 +58,6 @@ class TestRoundTrip:
 
     def test_line_ids_match_pcs(self, shared):
         cols = shared.columns()
-        cols.sync()
         line_bytes = 32
         assert cols.line_ids(line_bytes) == [
             pc // line_bytes for pc in cols.pcs
@@ -67,7 +65,6 @@ class TestRoundTrip:
 
     def test_fixed_length_columns_refuse_extension(self, shared):
         cols = shared.columns()
-        cols.sync()
         n = len(cols)
         taken = [(f & TAKEN) != 0 for f in cols.flags]
         fixed = TraceColumns.from_arrays(
@@ -76,6 +73,49 @@ class TestRoundTrip:
         fixed.require(n)  # exactly what is there: fine
         with pytest.raises(ScenarioError):
             fixed.require(n + 1)
+
+
+class TestOneBuffer:
+    """The shared trace's column set is its only record store."""
+
+    def test_live_trace_extends_across_chunk_boundary(self):
+        wl = workload("li", seed=3)
+        trace = SharedTrace(wl.program, wl.seed)  # private, unshared
+        cols = trace.columns()
+        trace.record(0)  # first chunk
+        assert len(cols) == _EXTEND_CHUNK
+        lines = cols.line_ids(32)
+        assert len(lines) == _EXTEND_CHUNK
+        cols.require(_EXTEND_CHUNK + 1)  # crosses into the second chunk
+        n = len(cols)
+        assert n == 2 * _EXTEND_CHUNK
+        assert trace.columns() is cols  # pinned, not rebuilt
+        assert cols.line_ids(32) is lines  # extended in place...
+        assert lines == [pc // 32 for pc in cols.pcs]  # ...and correct
+        fresh = TraceExecutor(wl.program, wl.seed).take(n)
+        assert [trace.record(i) for i in range(n)] == fresh
+
+    def test_engines_agree_on_imported_trace(self, tmp_path):
+        path = str(tmp_path / "gcc.rtrace")
+        export_trace(workload("gcc", seed=0), path, 1200, cushion=400)
+        imported = import_trace(path)
+
+        def run(engine, n):
+            processor = Processor(
+                imported,
+                ProcessorConfig.default(),
+                make_steering("general-balance"),
+                dispatch=engine,
+            )
+            return processor.run(n, warmup=300)
+
+        assert run("columnar", 1000) == run("object", 1000)
+        errors = []
+        for engine in ("columnar", "object"):
+            with pytest.raises(ScenarioError, match="re-export") as info:
+                run(engine, 5000)  # window outruns the frozen trace
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestSteeringMemo:
