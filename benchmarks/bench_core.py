@@ -91,8 +91,9 @@ def build_grid():
 #: (bench, scheme, machine) grid for the columnar-vs-object dispatch
 #: points: the Table 2 clustered machine across the smoke suite's
 #: benches (dispatch dominates there — shallow windows keep issue
-#: cheap), plus one issue-bound point to show the fused loop holds up
-#: when dispatch is *not* the bottleneck.
+#: cheap), one issue-bound point to show the fused loop holds up when
+#: dispatch is *not* the bottleneck, and the §3.9 FIFO-window machine,
+#: whose windows admit and place through the same fused loop.
 def build_dispatch_grid():
     from repro.scenarios import get_suite
 
@@ -101,6 +102,8 @@ def build_dispatch_grid():
         (bench, "general-balance", "clustered") for bench in smoke.benches
     ]
     grid.append(("gcc", "general-balance", ISSUE_BOUND_MACHINE))
+    grid.append(("gcc", "fifo", "clustered-fifo"))
+    grid.append(("pchase-heavy", "fifo", "clustered-fifo"))
     return grid
 
 

@@ -228,12 +228,6 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    base = simulate_baseline(
-        args.bench,
-        n_instructions=args.instructions,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
     # One declarative spec, executed through the repro.run facade.
     spec = RunSpec(
         bench=args.bench,
@@ -242,6 +236,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_instructions=args.instructions,
         warmup=args.warmup,
+    )
+    spec.validate()  # a bad machine fails before the baseline runs
+    base = simulate_baseline(
+        args.bench,
+        n_instructions=args.instructions,
+        warmup=args.warmup,
+        seed=args.seed,
     )
     result = run_spec(spec)
     print(result.summary())
@@ -1504,7 +1505,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "telemetry": _cmd_telemetry,
         "perf": _cmd_perf,
     }
-    return handlers[args.command](args)
+    from .errors import ConfigError
+
+    try:
+        return handlers[args.command](args)
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,13 +7,25 @@ candidates for issue.  The steering invariant is that a FIFO holds a chain
 of dependent instructions: an instruction is appended to a FIFO whose tail
 produces one of its operands; otherwise it must start an empty FIFO.
 
-The placement heuristic implemented here follows the original paper:
+Placement (:meth:`FifoIssueQueue.insert`) follows the original paper:
 
 1. if some source operand's producer sits at the *tail* of a non-full
-   FIFO, append there (the dependence chain continues);
-2. otherwise pick an empty FIFO;
-3. otherwise the instruction cannot be placed this cycle (dispatch
-   stalls) — reported by :meth:`can_accept`.
+   FIFO, append there (the dependence chain continues; the lowest such
+   FIFO index wins);
+2. otherwise take the lowest-numbered empty FIFO.
+
+Admission (:meth:`FifoIssueQueue.can_accept`) is a separate, stricter
+rule: dispatch reserves window space *before* renaming, when an
+instruction's operand providers are not yet known, so ``can_accept(n)``
+asks for *n empty FIFOs* — one per instruction or copy the queue must
+take.  A tail that could chain the instruction does not admit it; once
+admitted, :meth:`~FifoIssueQueue.insert` places it by the heuristic
+above with its real providers, so it may still chain.
+
+Placement is O(providers): the queue keeps a tail index (tail seq ->
+FIFO index) and a min-heap of empty FIFO indices, both updated as
+entries are placed and popped, so neither placement nor the steering
+probe :meth:`~FifoIssueQueue.tails_producing` scans the FIFOs.
 
 Like :class:`~repro.cluster.iq.IssueQueue`, the collection keeps an
 explicit ready list for the event-driven issue stage — here restricted
@@ -29,6 +41,7 @@ surfacing mid-selection must not compete until the following cycle.
 from __future__ import annotations
 
 from bisect import insort
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -44,13 +57,16 @@ class FifoIssueQueue:
     def __init__(self, n_fifos: int = 8, depth: int = 8, name: str = "fifo-iq") -> None:
         if n_fifos <= 0 or depth <= 0:
             raise SimulationError(f"{name}: FIFO geometry must be positive")
-        self.n_fifos = n_fifos
         self.depth = depth
         self.name = name
         self.capacity = n_fifos * depth
         self._fifos: List[List[DynInst]] = [[] for _ in range(n_fifos)]
         #: seq -> index of the FIFO holding the entry (O(1) remove).
         self._where: Dict[int, int] = {}
+        #: tail seq -> index of the (non-empty) FIFO it ends.
+        self._tails: Dict[int, int] = {}
+        #: Indices of the empty FIFOs, a min-heap (sorted is a heap).
+        self._empty: List[int] = list(range(n_fifos))
         #: Ready heads as (seq, head), kept sorted by seq.
         self._ready: List[Tuple[int, DynInst]] = []
         #: Heads exposed by an issue this cycle; enrolled at next view.
@@ -67,82 +83,42 @@ class FifoIssueQueue:
         for fifo in self._fifos:
             yield from fifo
 
-    @property
-    def free_slots(self) -> int:
-        """Total unoccupied FIFO slots (not all are usable — see
-        :meth:`placement_for`)."""
-        return self.capacity - self._size
+    def can_accept(self, n: int = 1) -> bool:
+        """True when *n* FIFOs are empty (the admission rule; see the
+        module docstring)."""
+        return len(self._empty) >= n
 
     def placement_for(self, dyn: DynInst) -> Optional[int]:
         """FIFO index the heuristic would place *dyn* in, or ``None``."""
-        for index, fifo in enumerate(self._fifos):
-            if fifo and len(fifo) < self.depth:
-                tail = fifo[-1]
-                if any(p is tail for p in dyn.providers):
-                    return index
-        for index, fifo in enumerate(self._fifos):
-            if not fifo:
-                return index
-        return None
-
-    def can_accept(self, dyn: DynInst) -> bool:
-        """True when the heuristic can place *dyn* right now."""
-        return self.placement_for(dyn) is not None
-
-    def plan_insertions(self, dyns: List[DynInst]) -> Optional[List[int]]:
-        """Dry-run placement of several instructions in order.
-
-        Returns the FIFO index per instruction, or ``None`` when some
-        instruction cannot be placed (the caller then stalls dispatch).
-        Needed because dispatch may insert an instruction *and* its copy
-        into queues in the same cycle and must know up front that both
-        placements succeed.
-        """
-        lengths = [len(f) for f in self._fifos]
-        tails = [f[-1] if f else None for f in self._fifos]
-        placements: List[int] = []
-        for dyn in dyns:
-            chosen = None
-            for index in range(self.n_fifos):
-                if lengths[index] and lengths[index] < self.depth:
-                    tail = tails[index]
-                    if tail is not None and any(
-                        p is tail for p in dyn.providers
-                    ):
-                        chosen = index
-                        break
-            if chosen is None:
-                for index in range(self.n_fifos):
-                    if lengths[index] == 0:
-                        chosen = index
-                        break
-            if chosen is None:
-                return None
-            placements.append(chosen)
-            lengths[chosen] += 1
-            tails[chosen] = dyn
-        return placements
-
-    def _place(self, dyn: DynInst, index: int) -> None:
-        fifo = self._fifos[index]
-        fifo.append(dyn)
-        self._where[dyn.seq] = index
-        self._size += 1
-        if len(fifo) == 1 and not dyn.pending_ops:
-            insort(self._ready, (dyn.seq, dyn))
-
-    def insert_at(self, dyn: DynInst, index: int) -> None:
-        """Insert into a specific FIFO (from :meth:`plan_insertions`)."""
-        if len(self._fifos[index]) >= self.depth:
-            raise SimulationError(f"{self.name}: FIFO {index} overflow")
-        self._place(dyn, index)
+        fifos = self._fifos
+        tails = self._tails
+        chosen = None
+        for p in dyn.providers:
+            index = tails.get(p.seq)
+            if index is not None and (chosen is None or index < chosen):
+                fifo = fifos[index]
+                if fifo[-1] is p and len(fifo) < self.depth:
+                    chosen = index
+        if chosen is None and self._empty:
+            chosen = self._empty[0]
+        return chosen
 
     def insert(self, dyn: DynInst) -> bool:
         """Place *dyn* by the heuristic; ``False`` when no FIFO can take it."""
         index = self.placement_for(dyn)
         if index is None:
             return False
-        self._place(dyn, index)
+        fifo = self._fifos[index]
+        if fifo:
+            del self._tails[fifo[-1].seq]
+        else:
+            heappop(self._empty)  # placement takes the lowest empty FIFO
+        fifo.append(dyn)
+        self._tails[dyn.seq] = index
+        self._where[dyn.seq] = index
+        self._size += 1
+        if len(fifo) == 1 and not dyn.pending_ops:
+            insort(self._ready, (dyn.seq, dyn))
         return True
 
     def remove(self, dyn: DynInst) -> None:
@@ -174,6 +150,9 @@ class FifoIssueQueue:
             head = fifo[0]
             if not head.pending_ops:
                 self._deferred.append(head)
+        else:
+            del self._tails[dyn.seq]
+            heappush(self._empty, index)
 
     # ------------------------------------------------------------------
     # Ready-list view (event-driven issue)
@@ -226,7 +205,8 @@ class FifoIssueQueue:
     def tails_producing(self, provider: DynInst) -> bool:
         """True when *provider* is currently some FIFO's tail (used by the
         cross-cluster steering heuristic to prefer this cluster)."""
-        return any(fifo and fifo[-1] is provider for fifo in self._fifos)
+        index = self._tails.get(provider.seq)
+        return index is not None and self._fifos[index][-1] is provider
 
     def occupancy(self) -> int:
         """Total instructions queued (load-balance signal)."""

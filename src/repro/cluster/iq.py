@@ -51,14 +51,9 @@ class IssueQueue:
     def __iter__(self) -> Iterator[DynInst]:
         return iter(self._entries.values())
 
-    @property
-    def free_slots(self) -> int:
-        """Entries still available."""
-        return self.capacity - len(self._entries)
-
     def can_accept(self, n: int = 1) -> bool:
         """True when *n* more instructions fit."""
-        return self.free_slots >= n
+        return len(self._entries) + n <= self.capacity
 
     def insert(self, dyn: DynInst) -> bool:
         """Add *dyn* at the tail (youngest); ``False`` when full.

@@ -123,6 +123,17 @@ class ProcessorConfig:
             raise ConfigError("cluster 0 must host the complex integer unit")
         if self.clusters[1].n_fp_alu <= 0:
             raise ConfigError("cluster 1 must host the FP units")
+        if self.n_fifos < 2:
+            raise ConfigError(
+                f"n_fifos must be at least 2, got {self.n_fifos}: an "
+                "instruction with two remote source operands needs two "
+                "copies, and each copy needs an empty FIFO in the other "
+                "cluster, so fewer FIFOs can wedge dispatch"
+            )
+        if self.fifo_depth < 1:
+            raise ConfigError(
+                f"fifo_depth must be at least 1, got {self.fifo_depth}"
+            )
 
     # ------------------------------------------------------------------
     @classmethod

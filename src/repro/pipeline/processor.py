@@ -24,9 +24,10 @@ commit    ``_commit_columnar``    ``_commit``
 ========  ======================  =================
 
 ``columnar`` (the default) runs every machine, FIFO windows included:
-fused dispatch over the map table's flat presence masks (each
-instruction on a FIFO machine goes to the unfused helper, since FIFO
-placement needs ``plan_insertions``) and event-driven wakeup/select
+fused dispatch over the map table's flat presence masks (both window
+kinds admit through ``can_accept(n)`` and place through ``insert``, so
+only copies and register hazards take the unfused helper) and
+event-driven wakeup/select
 (pending-operand counters, consumer lists and the completion calendar
 of :mod:`repro.pipeline.wakeup`; issue walks only the per-queue ready
 lists).  ``object`` is the frozen reference: per-instruction
@@ -630,12 +631,14 @@ class Processor:
         chosen cluster — reads the map table's flat ``masks`` list and
         writes the rename/window structures directly, allocating no
         :class:`~repro.rename.renamer.RenamePlan` and crossing no helper
-        boundaries.  Instructions that do need copies, or that hit a
-        register-file hazard, fall back to the unfused helper, which is
-        verbatim the reference (object) path, so both engines are
-        cycle-for-cycle identical.  On a FIFO-window machine every
-        instruction takes the helper: FIFO placement needs its
-        ``plan_insertions`` dry run.
+        boundaries.  Instructions that need copies the loop cannot
+        fuse, or that hit a register-file hazard, fall back to the
+        unfused helper, which is verbatim the reference (object) path,
+        so both engines are cycle-for-cycle identical.  Both window
+        kinds take the fused path: space is reserved by the
+        ``can_accept(n)`` rule (free entries, or empty FIFOs), and on a
+        FIFO machine the collection's own ``insert`` places the copies
+        and the consumer, keeping its head/ready enrolment.
         """
         buffer = self.decode_buffer
         if not buffer:
@@ -655,7 +658,7 @@ class Processor:
         lsq = self.lsq
         choose = self._choose_fn
         on_dispatch = self._on_dispatch_fn
-        fifo_issue = self.config.fifo_issue
+        fifo_windows = self.config.fifo_issue
         skip_supports = self._skip_supports
         supports = (self.fus[0].supports, self.fus[1].supports)
         allow_copies = self.config.allow_copies
@@ -717,10 +720,7 @@ class Processor:
             ) else cluster
             executes = cls is not jump and cls is not nop
             slow = False
-            if fifo_issue:
-                # FIFO placement needs the helper's plan_insertions.
-                slow = True
-            elif missing is not None:
+            if missing is not None:
                 # Fused copy insertion.  Only the clear-cut case stays
                 # inline — integer sources with a remote provider and
                 # enough registers in the chosen cluster; anything
@@ -756,12 +756,12 @@ class Processor:
                     # before renaming): copies join the *source*
                     # cluster's queue, the consumer its own.
                     iq_other = iqs[other]
-                    if len(iq_other._entries) + n_copies > iq_other.capacity:
+                    if not iq_other.can_accept(n_copies):
                         stats.stall_iq += 1
                         break
                     if executes:
                         iq = iqs[cluster]
-                        if len(iq._entries) >= iq.capacity:
+                        if not iq.can_accept():
                             stats.stall_iq += 1
                             break
                     for reg in missing:
@@ -778,7 +778,6 @@ class Processor:
                         # (the remote presence was just checked).
                         map_table._replicated_ints += 1
                         renamer.copies_created += 1
-                        # Inline window insert for the copy.
                         cc = provider.complete_cycle
                         if cc < 0 or cc > cycle:
                             if provider.waiters is None:
@@ -786,15 +785,15 @@ class Processor:
                             else:
                                 provider.waiters.append(copy)
                             copy.pending_ops = 1
-                            pending = 1
-                        else:
-                            pending = 0
-                        rank = iq_other._next_rank
-                        iq_other._next_rank = rank + 1
-                        copy.iq_rank = rank
-                        iq_other._entries[copy.seq] = copy
-                        if not pending:
-                            iq_other._ready.append((rank, copy))
+                        if fifo_windows:
+                            iq_other.insert(copy)
+                        else:  # IssueQueue.insert, inline
+                            rank = iq_other._next_rank
+                            iq_other._next_rank = rank + 1
+                            copy.iq_rank = rank
+                            iq_other._entries[copy.seq] = copy
+                            if not copy.pending_ops:
+                                iq_other._ready.append((rank, copy))
                         stats.copies_created += 1
                     # Re-gather the sources with the copies installed.
                     providers = []
@@ -811,7 +810,10 @@ class Processor:
                 slow = True
             elif executes:
                 iq = iqs[cluster]
-                if len(iq._entries) >= iq.capacity:
+                if (
+                    not iq.can_accept() if fifo_windows
+                    else len(iq._entries) >= iq.capacity
+                ):
                     stats.stall_iq += 1
                     break
             if slow:
@@ -845,7 +847,9 @@ class Processor:
             dyn.cluster = cluster
             dyn.dispatch_cycle = cycle
             if executes:
-                # Inline window insert (capacity reserved above).
+                # Window insert (capacity reserved above).  A FIFO
+                # collection places by its chain heuristic and enrols
+                # its heads itself; IssueQueue's insert is inlined.
                 pending = 0
                 for p in providers:
                     cc = p.complete_cycle
@@ -856,12 +860,15 @@ class Processor:
                             p.waiters.append(dyn)
                         pending += 1
                 dyn.pending_ops = pending
-                rank = iq._next_rank
-                iq._next_rank = rank + 1
-                dyn.iq_rank = rank
-                iq._entries[dyn.seq] = dyn
-                if not pending:
-                    iq._ready.append((rank, dyn))
+                if fifo_windows:
+                    iq.insert(dyn)
+                else:  # IssueQueue.insert, inline
+                    rank = iq._next_rank
+                    iq._next_rank = rank + 1
+                    dyn.iq_rank = rank
+                    iq._entries[dyn.seq] = dyn
+                    if not pending:
+                        iq._ready.append((rank, dyn))
             else:
                 # Jumps/nops need no execution; they complete at dispatch.
                 self._complete(dyn, cycle, cycle)
@@ -879,9 +886,9 @@ class Processor:
     def _dispatch_one_slow(self, dyn: DynInst, cluster: int, cycle: int):
         """Reference dispatch of one steered instruction.
 
-        The full plan/feasible/reserve/rename sequence; both engines
-        funnel here for instructions needing copies or replanning, and
-        for every instruction on a FIFO-window machine.
+        The full plan/feasible/reserve/rename sequence; the object engine
+        dispatches every instruction here, and the columnar engine the
+        ones needing copies it cannot fuse or a register replan.
         Returns ``_OK``, ``_STALL_REGS`` or ``_STALL_IQ``; on a stall the
         caller accounts the stall and ends the dispatch group.
         """
@@ -949,20 +956,6 @@ class Processor:
         self, dyn: DynInst, cluster: int, plan, executes: bool
     ) -> bool:
         """Check that the windows can take the instruction and its copies."""
-        if self.config.fifo_issue:
-            for target in (0, 1):
-                pending = [
-                    _CopyProbe(dyn, reg)
-                    for reg, src in plan.copies
-                    if src == target
-                ]
-                if target == cluster and executes:
-                    pending.append(dyn)
-                if pending and self.iqs[target].plan_insertions(
-                    pending  # type: ignore[arg-type]
-                ) is None:
-                    return False
-            return True
         needed = [plan.copies_from(0), plan.copies_from(1)]
         if executes:
             needed[cluster] += 1
@@ -1008,20 +1001,3 @@ class Processor:
         group = self.fetch_unit.fetch(cycle, space)
         if group:
             self.decode_buffer.extend(group)
-
-
-class _CopyProbe:
-    """Stand-in used to dry-run FIFO placement of a not-yet-created copy.
-
-    A copy's only provider is the current remote provider of the copied
-    register, so the probe borrows the *consumer's* providers to test
-    tail-dependence placement conservatively (a probe never matches a
-    tail, which makes the dry run strictly pessimistic: it demands an
-    empty FIFO for each copy).
-    """
-
-    __slots__ = ("providers", "seq")
-
-    def __init__(self, consumer: DynInst, reg: int) -> None:
-        self.providers = ()
-        self.seq = consumer.seq

@@ -158,7 +158,8 @@ class TestFifoIssueQueue:
         iq = FifoIssueQueue(n_fifos=1, depth=1)
         assert iq.insert(dyn(seq=0))
         unrelated = dyn(seq=1)
-        assert not iq.can_accept(unrelated)
+        assert not iq.can_accept()
+        assert iq.placement_for(unrelated) is None
         assert not iq.insert(unrelated)
         assert len(iq) == 1
 
@@ -179,18 +180,56 @@ class TestFifoIssueQueue:
         with pytest.raises(SimulationError):
             iq.remove(consumer)
 
-    def test_plan_insertions_accounts_for_growth(self):
+    def test_can_accept_counts_empty_fifos(self):
         iq = FifoIssueQueue(n_fifos=2, depth=1)
-        plan = iq.plan_insertions([dyn(seq=0), dyn(seq=1)])
-        assert plan is not None
-        assert sorted(plan) == [0, 1]
-        assert iq.plan_insertions([dyn(seq=0), dyn(seq=1), dyn(seq=2)]) is None
+        assert iq.can_accept(2)
+        assert not iq.can_accept(3)
+        iq.insert(dyn(seq=0))
+        assert iq.can_accept(1)
+        assert not iq.can_accept(2)
 
-    def test_insert_at_respects_depth(self):
+    def test_chainable_tail_does_not_admit(self):
+        # Admission runs before rename, so it asks for empty FIFOs only;
+        # once admitted, insert still chains by the real providers.
+        iq = FifoIssueQueue(n_fifos=2, depth=4)
+        a, b = dyn(seq=0), dyn(seq=1)
+        iq.insert(a)
+        iq.insert(b)
+        consumer = dyn(seq=2, dst=6, srcs=(5,))
+        consumer.providers = [a]
+        assert not iq.can_accept()
+        assert iq.placement_for(consumer) == 0
+
+    def test_full_fifo_does_not_chain(self):
         iq = FifoIssueQueue(n_fifos=2, depth=1)
-        iq.insert_at(dyn(seq=0), 0)
-        with pytest.raises(SimulationError):
-            iq.insert_at(dyn(seq=1), 0)
+        producer = dyn(seq=0)
+        iq.insert(producer)
+        consumer = dyn(seq=1, dst=6, srcs=(5,))
+        consumer.providers = [producer]
+        assert iq.placement_for(consumer) == 1
+        iq.insert(consumer)
+        third = dyn(seq=2, dst=7, srcs=(6,))
+        third.providers = [consumer]
+        assert not iq.insert(third)
+
+    def test_lowest_chaining_fifo_wins(self):
+        iq = FifoIssueQueue(n_fifos=3, depth=4)
+        a, b = dyn(seq=0), dyn(seq=1)
+        iq.insert(a)
+        iq.insert(b)
+        consumer = dyn(seq=2, dst=6, srcs=(5, 6))
+        consumer.providers = [b, a]
+        assert iq.placement_for(consumer) == 0
+
+    def test_emptied_fifo_is_reused_lowest_first(self):
+        iq = FifoIssueQueue(n_fifos=3, depth=4)
+        a, b, c = dyn(seq=0), dyn(seq=1), dyn(seq=2)
+        for d in (a, b, c):
+            iq.insert(d)
+        iq.remove(c)
+        iq.remove(a)
+        assert iq.can_accept(2)
+        assert iq.placement_for(dyn(seq=3)) == 0
 
     def test_tails_producing(self):
         iq = FifoIssueQueue(n_fifos=2, depth=4)
@@ -198,6 +237,14 @@ class TestFifoIssueQueue:
         iq.insert(producer)
         assert iq.tails_producing(producer)
         assert not iq.tails_producing(dyn(seq=5))
+        # A consumer chained behind the producer becomes the tail.
+        consumer = dyn(seq=1, dst=6, srcs=(5,))
+        consumer.providers = [producer]
+        iq.insert(consumer)
+        assert not iq.tails_producing(producer)
+        assert iq.tails_producing(consumer)
+        # A different object carrying the tail's seq is not the tail.
+        assert not iq.tails_producing(dyn(seq=1))
 
 
 class TestIssueQueueReadySet:

@@ -95,3 +95,61 @@ class TestValidation:
             ProcessorConfig(fetch_width=0)
         with pytest.raises(ConfigError):
             ClusterConfig(issue_width=0)
+
+
+class TestFifoGeometry:
+    """FIFO windows that can never dispatch are rejected up front."""
+
+    def _fifo_machine(self, **overrides):
+        from repro.spec import apply_overrides, machine_config
+
+        return apply_overrides(
+            machine_config("clustered-fifo"), list(overrides.items())
+        )
+
+    @pytest.mark.parametrize("n_fifos", [1, 0, -3])
+    def test_too_few_fifos_rejected(self, n_fifos):
+        # An instruction with two remote operands needs two copies, each
+        # in an empty FIFO of the other cluster: one FIFO wedges dispatch.
+        with pytest.raises(ConfigError, match="n_fifos") as info:
+            self._fifo_machine(n_fifos=n_fifos)
+        assert "copies" in str(info.value)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_empty_fifos_rejected(self, depth):
+        with pytest.raises(ConfigError, match="fifo_depth"):
+            self._fifo_machine(fifo_depth=depth)
+
+    def test_smallest_valid_geometry(self):
+        config = self._fifo_machine(n_fifos=2, fifo_depth=1)
+        assert (config.n_fifos, config.fifo_depth) == (2, 1)
+
+    def test_cli_reports_config_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "-b", "gcc", "-s", "fifo", "-O", "n_fifos=1",
+                     "-n", "200", "-w", "50"]) == 2
+        captured = capsys.readouterr()
+        assert "n_fifos" in captured.err
+        assert captured.out == ""
+        # Every subcommand reports a ConfigError the same way.
+        assert main(["campaign", "-b", "gcc", "-s", "fifo", "-O",
+                     "n_fifos=1", "-n", "200", "-w", "50"]) == 2
+        assert "n_fifos" in capsys.readouterr().err
+
+    def test_cli_exits_without_traceback(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "-b", "gcc", "-s",
+             "fifo", "-O", "fifo_depth=0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "fifo_depth" in proc.stderr
+        assert "Traceback" not in proc.stderr

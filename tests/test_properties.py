@@ -193,13 +193,83 @@ def test_fifo_queue_chains_stay_in_order(chain_spec):
         dyn = _dyn(seq)
         if dependent and last is not None:
             dyn.providers = [last]
-        if not iq.can_accept(dyn):
+        if not iq.insert(dyn):
             break
-        iq.insert(dyn)
         last = dyn
     for fifo in iq._fifos:
         seqs = [d.seq for d in fifo]
         assert seqs == sorted(seqs)
+
+
+def _brute_placement(iq, dyn):
+    """The FIFO placement heuristic as a scan over every FIFO."""
+    for index, fifo in enumerate(iq._fifos):
+        if fifo and len(fifo) < iq.depth:
+            if any(p is fifo[-1] for p in dyn.providers):
+                return index
+    for index, fifo in enumerate(iq._fifos):
+        if not fifo:
+            return index
+    return None
+
+
+@given(
+    n_fifos=st.integers(1, 4),
+    depth=st.integers(1, 4),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "insert", "issue", "remove", "wake"]),
+            st.integers(0, 1 << 16),
+        ),
+        max_size=150,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_fifo_queue_index_matches_brute_force(n_fifos, depth, ops):
+    """The incremental tail index and empty-FIFO heap always agree with a
+    scan of the FIFOs, and so do placement and the steering probe."""
+    iq = FifoIssueQueue(n_fifos=n_fifos, depth=depth)
+    made = []
+    for seq, (op, pick) in enumerate(ops):
+        if op == "insert":
+            dyn = _dyn(seq)
+            if made:
+                # Providers: any earlier instruction, queued or departed.
+                dyn.providers = [
+                    made[(pick >> shift) % len(made)]
+                    for shift in range(pick % 3)
+                ]
+            dyn.pending_ops = (pick >> 8) & 1
+            expected = _brute_placement(iq, dyn)
+            assert iq.placement_for(dyn) == expected
+            assert iq.insert(dyn) == (expected is not None)
+            made.append(dyn)
+        elif op == "issue":
+            view = iq.ready_view()
+            if view:
+                iq.issue_ready(pick % len(view))
+        elif op == "remove":
+            heads = iq.entries_oldest_first()
+            if heads:
+                iq.remove(heads[pick % len(heads)])
+        else:  # a pending head's operand completes
+            waiting = [f[0] for f in iq._fifos if f and f[0].pending_ops]
+            if waiting:
+                head = waiting[pick % len(waiting)]
+                head.pending_ops = 0
+                iq.mark_ready(head)
+        fifos = iq._fifos
+        tails = {f[-1].seq: i for i, f in enumerate(fifos) if f}
+        assert iq._tails == tails
+        empty = [i for i, f in enumerate(fifos) if not f]
+        assert sorted(iq._empty) == empty
+        for n in range(n_fifos + 2):
+            assert iq.can_accept(n) == (len(empty) >= n)
+        for dyn in made:
+            assert iq.tails_producing(dyn) == any(
+                f and f[-1] is dyn for f in fifos
+            )
+        assert len(iq) == sum(len(f) for f in fifos)
 
 
 @given(

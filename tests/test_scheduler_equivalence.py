@@ -27,7 +27,7 @@ from repro.core.steering import available_schemes, make_steering
 from repro.errors import ConfigError
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import DISPATCH_MODES, Processor
-from repro.spec import machine_config
+from repro.spec import apply_overrides, machine_config
 from repro.workloads import workload
 
 #: Smoke-suite measurement window (kept small: this file runs the full
@@ -133,6 +133,36 @@ class TestAblationFamilies:
     @pytest.mark.parametrize("bench", BENCHES)
     def test_family_equivalent(self, bench, scheme_name, fifo, machine_name):
         assert_equivalent(bench, scheme_name, machine_name, fifo=fifo)
+
+
+class TestTightFifoGeometry:
+    """FIFO collections down to the smallest valid geometry: admission
+    (empty-FIFO counting) stalls dispatch often, on consumers and on
+    their copies, and both engines must stall identically."""
+
+    @pytest.mark.parametrize(
+        "n_fifos,fifo_depth", [(2, 1), (2, 2), (2, 8), (8, 1)]
+    )
+    @pytest.mark.parametrize(
+        "scheme_name", ["fifo", "general-balance", "modulo"]
+    )
+    @pytest.mark.parametrize("bench", ["gcc", "pchase-heavy", "li"])
+    def test_geometry_equivalent(self, bench, scheme_name, n_fifos,
+                                 fifo_depth):
+        config = apply_overrides(
+            machine_config("clustered-fifo"),
+            [("n_fifos", n_fifos), ("fifo_depth", fifo_depth)],
+        )
+        results = []
+        for engine in DISPATCH_MODES:
+            processor = Processor(
+                workload(bench, seed=0), config, make_steering(scheme_name),
+                dispatch=engine,
+            )
+            results.append(processor.run(N_INSTRUCTIONS, warmup=WARMUP))
+        columnar, obj = results
+        assert columnar.instructions >= N_INSTRUCTIONS
+        assert columnar == obj
 
 
 class TestEngineSelection:
